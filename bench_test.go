@@ -294,12 +294,11 @@ func BenchmarkMitigate(b *testing.B) {
 }
 
 // BenchmarkExposureLP isolates the stochastic exposure pipeline — the
-// LP solve over the position-discount exposure polytope, the
-// Birkhoff–von-Neumann decomposition into permutations, and the
-// seeded draw — without the two quantification passes the full
-// Evaluate loop adds. n=48 runs at exact item×position granularity
-// (≤ the solver's 64-row cap); n=5000 exercises the coarsened
-// tier×block model that keeps large populations tractable.
+// LP solve by column generation over whole rankings and the seeded
+// draw — without the two quantification passes the full Evaluate loop
+// adds. Both sizes are solved exactly: n=48 is an interactive
+// shortlist, and n=5000 shows how pricing, which sorts the whole
+// population for every candidate ranking, scales.
 func BenchmarkExposureLP(b *testing.B) {
 	for _, n := range []int{48, 5000} {
 		_, scores := benchPopulation(b, n, 2, 3)

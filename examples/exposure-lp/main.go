@@ -1,8 +1,7 @@
 // Stochastic fairness of exposure: walk the exposure-lp pipeline end
-// to end — LP over the position-discount exposure polytope,
-// Birkhoff–von-Neumann decomposition into a distribution over
-// rankings, seeded sampling — and audit what the mixture guarantees
-// that any single ranking cannot.
+// to end — an LP whose optimum is a distribution over a few rankings,
+// then seeded sampling — and audit what the mixture guarantees that
+// any single ranking cannot.
 //
 // The deterministic "exposure" strategy caps the worst pairwise
 // exposure ratio of its one output ranking best-effort; exposure-lp
@@ -43,8 +42,8 @@ func main() {
 	cfg := fairank.Config{Attributes: []string{"gender"}, MaxDepth: 1}
 
 	// Step 1+2+3 in one call: quantify the most unfair partitioning,
-	// solve the exposure LP over it, decompose the optimum, sample a
-	// ranking with the seed, and re-quantify the sample.
+	// solve the exposure LP over it, sample a ranking from the optimal
+	// distribution with the seed, and re-quantify the sample.
 	fmt.Println("== exposure-lp:", fairank.DescribeStrategy("exposure-lp"))
 	o, err := fairank.Mitigate(m.Workers, scores, cfg, fairank.MitigateOptions{
 		Strategy:         "exposure-lp",
@@ -58,9 +57,9 @@ func main() {
 	// The Distribution is the strategy's real output: the sampled
 	// ranking the rest of the loop evaluated is one draw from it.
 	d := o.Distribution
-	fmt.Printf("\nthe LP optimum decomposed into %d rankings (Birkhoff–von-Neumann);\n", len(d.Rankings))
-	fmt.Printf("seed %d drew component #%d (weight %.4f); exact regime: %v\n",
-		d.Seed, d.Sampled+1, d.Weights[d.Sampled], d.Exact)
+	fmt.Printf("\nthe LP optimum is a distribution over %d rankings;\n", len(d.Rankings))
+	fmt.Printf("seed %d drew component #%d (weight %.4f)\n",
+		d.Seed, d.Sampled+1, d.Weights[d.Sampled])
 
 	// The guarantee lives on the mixture. Compare the expected
 	// exposure ratio (certified ≥ 0.95 by the LP) with the sampled

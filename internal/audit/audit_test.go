@@ -327,7 +327,7 @@ func TestRunStochasticRollup(t *testing.T) {
 			t.Errorf("job %q: %d expected exposures for %d groups",
 				j.Job, len(j.ExpectedExposure), len(j.Groups))
 		}
-		if j.ExpectedRatio < 0.95-1e-6 {
+		if j.ExpectedRatio < 0.95-1e-9 {
 			t.Errorf("job %q: expected ratio %g below the default 0.95 floor",
 				j.Job, j.ExpectedRatio)
 		}

@@ -1,68 +1,34 @@
 // Package exposure is the numeric core of FaiRank's stochastic
-// fairness-of-exposure mitigation (Singh & Joachims, NeurIPS 2018): a
-// small pure-Go linear-programming solver over the position-discount
-// exposure polytope, a Birkhoff–von-Neumann decomposition of the
-// optimal doubly-stochastic matrix into a convex combination of
-// permutation matrices, and a deterministic realization step that
-// turns any component of that combination into a concrete ranking.
+// fairness-of-exposure mitigation (Singh & Joachims, NeurIPS 2018).
+// Solve finds the distribution over rankings that maximizes expected
+// utility subject to a floor R on every pairwise ratio of expected
+// group exposures:
 //
-// The pipeline has three stages, each independently testable:
+//	maximize   Σ_k w_k · U(π_k)
+//	subject to L ≤ E_g ≤ U for every group g,  L ≥ R·U,
+//	           Σ_k w_k = 1,  w ≥ 0,
 //
-//  1. Solve builds and solves the LP
+// where the π_k are rankings, U(π) = Σ_i u_i·v_π(i) is a ranking's
+// utility (FaiRank passes pseudo-scores as u), v_j = 1/log2(1+j) is the
+// position discount, and E_g = Σ_k w_k·E_g(π_k) is group g's expected
+// exposure, E_g(π) being the mean discount of g's members under π.
+// This is Singh & Joachims' LP over doubly-stochastic matrices written
+// over their vertices, the permutations: the optimum is the same, and
+// a basic optimum uses at most 2G+2 rankings for G groups.
 //
-//     maximize   Σ_{i,j} u_i · P_ij · v_j
-//     subject to Σ_j P_ij = 1            (every item ranks somewhere)
-//     Σ_i P_ij = 1                       (every position is filled)
-//     E_a ≥ R · E_b   for all pairs a≠b  (expected-exposure floor)
-//     P ≥ 0
+// Solve generates the columns (Dantzig–Wolfe column generation): a
+// master LP over the rankings found so far, solved by a small dense
+// simplex, yields row duals y. Every LP coefficient is an item term
+// times a position discount, so the ranking with the largest reduced
+// cost sorts the rows by a_i = u_i − (y_lo,g + y_hi,g)/|g| for i's
+// group g (rearrangement inequality). The master starts from the
+// score-sorted ranking and the uniform doubly-stochastic column, which
+// gives every group equal exposure and so makes every floor R ≤ 1
+// feasible; a penalty keeps it out of every optimum. The result is
+// exact at every population size.
 //
-//     where u_i is item i's utility (FaiRank passes pseudo-scores),
-//     v_j = 1/log2(1+j) is the position discount, and
-//     E_g = (1/|g|) Σ_{i∈g,j} P_ij·v_j is group g's expected
-//     exposure. The pairwise floor is encoded through two bound
-//     variables (L ≤ E_g ≤ U for all g, plus L ≥ R·U), which is
-//     equivalent and keeps the constraint count linear in the group
-//     count rather than quadratic — the quantification engine can
-//     hand over dozens of groups. The polytope always contains the
-//     uniform matrix
-//     P = 1/n (every group's expected exposure is equal there), so
-//     the LP is feasible for every ratio floor R ≤ 1 — unlike the
-//     deterministic strategies, exposure constraints in expectation
-//     are never infeasible.
-//
-//  2. Decompose expresses the optimum as a convex combination
-//     X = Σ_k λ_k · Z_k of integral vertices Z_k — permutation
-//     matrices in the exact regime — with λ_k > 0 and Σλ_k = 1. The
-//     classical Birkhoff–von-Neumann bound applies: at most
-//     (n−1)²+1 permutations are needed. Each round finds an integral
-//     matrix supported on the remaining mass (a max-flow over the
-//     support graph), peels off the largest feasible multiple, and
-//     zeroes at least one support entry, so the loop terminates in at
-//     most |support| rounds.
-//
-//  3. Solution.Ranking realizes one component as a best-first row
-//     order: within every tier the best-scored rows go to the
-//     best-discounted blocks, and within a block rows sort by score
-//     then row index — the same deterministic tie-break every other
-//     FaiRank strategy uses.
-//
-// Scale: the exact item×position LP has n² variables, which is fine
-// for the interactive sizes the paper demos (tens of rows) but not
-// for thousand-worker marketplaces. Above Config.MaxExact the solver
-// coarsens the polytope instead of giving up: positions join
-// geometrically growing blocks (the discount curve flattens fast, so
-// late blocks are wide), each group's score-sorted members join
-// geometrically growing tiers, and the LP runs over the tier×block
-// transportation polytope whose integral margins keep the
-// decomposition exact — vertices are integral assignment-count
-// matrices rather than permutations, and expected exposure is
-// computed against each block's mean discount. The blocked model's
-// constraints still hold to LP tolerance; realized per-position
-// exposure tracks it to within the within-block discount spread.
-//
-// Everything in this package is deterministic: the simplex pivots by
-// fixed index-ordered rules, the flow augments in fixed order, and no
-// stage reads a clock, a map iteration order, or a worker count.
-// Sampling from the decomposition happens one layer up (see
-// internal/mitigate's Distribution) through a seeded RNG.
+// Everything here is deterministic: the simplex pivots by fixed
+// index-ordered rules, pricing breaks ties by row index, and nothing
+// reads a clock, a map or a worker count. Sampling from the
+// distribution happens one layer up, in internal/mitigate.
 package exposure

@@ -10,10 +10,8 @@ const (
 	// nonzero when driving artificials out of the basis.
 	pivotTol = 1e-10
 	// ratioTol is the smallest pivot element the ratio test accepts:
-	// pivoting divides the row by this value, so accepting anything
-	// near rounding noise amplifies error catastrophically over
-	// thousands of pivots (rows are equilibrated to max |entry| = 1,
-	// which makes one absolute threshold meaningful).
+	// pivoting divides the row by it, so anything near rounding noise
+	// would amplify error.
 	ratioTol = 1e-8
 	// optTol is the optimality / feasibility tolerance: a reduced cost
 	// above -optTol counts as non-negative, a residual below optTol as
@@ -21,246 +19,251 @@ const (
 	optTol = 1e-9
 )
 
-// simplexSolve maximizes c·x subject to A·x = b, x ≥ 0 with a dense
-// two-phase primal tableau simplex. A is row-major (len(b) rows of
-// len(c) entries); b may have negative entries (rows are normalized
-// internally). It returns the optimal x and objective value.
+// tableau is a dense two-phase primal simplex tableau for
+// maximize c·x subject to A·x = b, x ≥ 0. Column 0 holds the
+// right-hand side, columns 1..m the artificials and the structural
+// columns follow, so a column can be appended to a solved tableau and
+// the solve resumed from the optimal basis (column generation).
 //
-// The pivot rules are deterministic: Dantzig's most-negative reduced
-// cost with lowest-index tie-breaks while progress is smooth, falling
-// back to Bland's least-index rule (which cannot cycle) once the
-// iteration count suggests degeneracy — transportation polytopes are
-// heavily degenerate, so the fallback matters. No randomness, map
-// iteration, or concurrency is involved: identical inputs pivot
-// identically on every run.
-func simplexSolve(c []float64, a [][]float64, b []float64) ([]float64, float64, error) {
+// Rows are equilibrated to max |entry| = 1 when built, so that one
+// absolute pivot threshold is meaningful; this scales row i's dual by
+// scale[i], which solution undoes. Pivoting is deterministic:
+// Dantzig's rule with lowest-index ties, then Bland's cycle-free
+// least-index rule once the iteration count suggests degeneracy.
+type tableau struct {
+	rows  [][]float64
+	obj   []float64 // reduced costs z_j − c_j; obj[0] is the objective
+	basis []int     // basic column of each row
+	scale []float64 // row equilibration factors
+	m     int       // rows as built (dropped redundant rows included)
+	cost  []float64 // structural costs
+}
+
+// newTableau builds the tableau of A·x = b with the artificial basis.
+// A is row-major (len(b) rows of len(c) entries); b may be negative.
+func newTableau(c []float64, a [][]float64, b []float64) (*tableau, error) {
 	m, n := len(b), len(c)
 	if m == 0 || n == 0 {
-		return nil, 0, fmt.Errorf("exposure: simplex: empty program (%d rows, %d cols)", m, n)
+		return nil, fmt.Errorf("exposure: simplex: empty program (%d rows, %d cols)", m, n)
 	}
-	// Tableau layout: n structural columns, m artificial columns, then
-	// the right-hand side. Each row is equilibrated to max |entry| = 1:
-	// the program mixes unit transportation coefficients with
-	// position-discount-over-group-size coefficients orders of
-	// magnitude smaller, and without scaling the ratio test cannot
-	// tell a structurally small pivot from rounding noise. Row scaling
-	// changes neither the feasible set nor x.
-	width := n + m + 1
-	t := make([][]float64, m)
-	basis := make([]int, m)
-	for i := 0; i < m; i++ {
+	t := &tableau{rows: make([][]float64, m), basis: make([]int, m), scale: make([]float64, m), m: m,
+		cost: append([]float64(nil), c...)}
+	for i := range t.rows {
 		if len(a[i]) != n {
-			return nil, 0, fmt.Errorf("exposure: simplex: row %d has %d entries for %d columns", i, len(a[i]), n)
+			return nil, fmt.Errorf("exposure: simplex: row %d has %d entries for %d columns", i, len(a[i]), n)
 		}
-		row := make([]float64, width)
-		scale := math.Abs(b[i])
+		s := math.Abs(b[i])
 		for _, v := range a[i] {
-			if av := math.Abs(v); av > scale {
-				scale = av
+			s = math.Max(s, math.Abs(v))
+		}
+		if s == 0 {
+			s = 1 // all-zero row: keep it, phase 1 will drop it
+		}
+		t.scale[i] = 1 / s
+		if b[i] < 0 {
+			t.scale[i] = -t.scale[i]
+		}
+		row := make([]float64, 1+m+n)
+		row[0] = t.scale[i] * b[i]
+		row[1+i] = 1
+		for j, v := range a[i] {
+			row[1+m+j] = t.scale[i] * v
+		}
+		t.rows[i] = row
+		t.basis[i] = 1 + i
+	}
+	t.obj = make([]float64, 1+m+n)
+	return t, nil
+}
+
+// solve runs both phases from the artificial basis.
+func (t *tableau) solve() error {
+	// Phase 1: maximize −Σ artificials. With every artificial basic at
+	// cost −1 the reduced cost of column j is −Σ_i rows[i][j].
+	for _, row := range t.rows {
+		for j, v := range row {
+			if j == 0 || j > t.m {
+				t.obj[j] -= v
 			}
 		}
-		if scale == 0 {
-			scale = 1 // all-zero row: keep it, phase 1 will drop it
-		}
-		sign := 1 / scale
-		if b[i] < 0 {
-			sign = -sign
-		}
-		for j, v := range a[i] {
-			row[j] = sign * v
-		}
-		row[n+i] = 1
-		row[width-1] = sign * b[i]
-		t[i] = row
-		basis[i] = n + i
 	}
-
-	// Phase 1: maximize -Σ artificials. With every artificial basic at
-	// cost -1, the reduced-cost row is z_j - c_j = -Σ_i t[i][j] for
-	// structural columns and 0 for artificial ones.
-	obj := make([]float64, width)
-	for j := 0; j < n; j++ {
-		s := 0.0
-		for i := 0; i < m; i++ {
-			s -= t[i][j]
-		}
-		obj[j] = s
+	if err := t.iterate(); err != nil {
+		return fmt.Errorf("exposure: simplex phase 1: %w", err)
 	}
-	for i := 0; i < m; i++ {
-		obj[width-1] -= t[i][width-1]
+	if infeas := -t.obj[0]; infeas > 1e-7 {
+		return fmt.Errorf("exposure: simplex: program infeasible (phase-1 residual %g)", infeas)
 	}
-	if err := simplexIterate(t, obj, basis, n); err != nil {
-		return nil, 0, fmt.Errorf("exposure: simplex phase 1: %w", err)
-	}
-	infeas := 0.0
-	for i := 0; i < m; i++ {
-		if basis[i] >= n {
-			infeas += t[i][width-1]
-		}
-	}
-	if infeas > 1e-7 {
-		return nil, 0, fmt.Errorf("exposure: simplex: program infeasible (phase-1 residual %g)", infeas)
-	}
-
 	// Drive zero-level artificials out of the basis; rows where no
 	// structural pivot exists are redundant constraints and drop.
-	keep := make([]int, 0, m)
-	for i := 0; i < m; i++ {
-		if basis[i] < n {
-			keep = append(keep, i)
+	for i := range t.rows {
+		if t.basis[i] > t.m {
 			continue
 		}
-		pivoted := false
-		for j := 0; j < n; j++ {
-			if math.Abs(t[i][j]) > pivotTol {
-				simplexPivot(t, obj, basis, i, j)
-				pivoted = true
+		for j := t.m + 1; j < len(t.obj); j++ {
+			if math.Abs(t.rows[i][j]) > pivotTol {
+				t.pivot(i, j)
 				break
 			}
 		}
-		if pivoted {
-			keep = append(keep, i)
+	}
+	keep := 0
+	for i := range t.rows {
+		if t.basis[i] > t.m {
+			t.rows[keep], t.basis[keep] = t.rows[i], t.basis[i]
+			keep++
 		}
 	}
-	if len(keep) < m {
-		nt := make([][]float64, 0, len(keep))
-		nb := make([]int, 0, len(keep))
-		for _, i := range keep {
-			nt = append(nt, t[i])
-			nb = append(nb, basis[i])
-		}
-		t, basis = nt, nb
-		m = len(t)
-	}
-
+	t.rows, t.basis = t.rows[:keep], t.basis[:keep]
 	// Phase 2: rebuild the reduced-cost row for the real objective
 	// (the basis is now purely structural) and optimize.
-	for j := 0; j < width; j++ {
-		obj[j] = 0
+	clear(t.obj)
+	for j, cj := range t.cost {
+		t.obj[1+t.m+j] = -cj
 	}
-	for j := 0; j < n; j++ {
-		obj[j] = -c[j]
-	}
-	for i := 0; i < m; i++ {
-		cb := c[basis[i]]
-		if cb == 0 {
-			continue
-		}
-		for j := 0; j < width; j++ {
-			obj[j] += cb * t[i][j]
-		}
-	}
-	// Zero out the basic columns' reduced costs exactly.
-	for i := 0; i < m; i++ {
-		obj[basis[i]] = 0
-	}
-	if err := simplexIterate(t, obj, basis, n); err != nil {
-		return nil, 0, fmt.Errorf("exposure: simplex phase 2: %w", err)
-	}
-
-	x := make([]float64, n)
-	for i := 0; i < m; i++ {
-		if basis[i] < n {
-			v := t[i][width-1]
-			if v < 0 {
-				v = 0 // clamp rounding dust
+	for i, row := range t.rows {
+		if cb := t.cost[t.basis[i]-1-t.m]; cb != 0 {
+			for j, v := range row {
+				t.obj[j] += cb * v
 			}
-			x[basis[i]] = v
 		}
 	}
-	val := 0.0
-	for j, cj := range c {
-		val += cj * x[j]
+	if err := t.iterate(); err != nil {
+		return fmt.Errorf("exposure: simplex phase 2: %w", err)
 	}
-	return x, val, nil
+	return nil
 }
 
-// simplexIterate runs primal simplex pivots until the reduced-cost row
-// is non-negative. Only structural columns (index < n) may enter.
-func simplexIterate(t [][]float64, obj []float64, basis []int, n int) error {
-	m := len(t)
-	width := len(obj)
+// addColumn appends a structural column with cost cj and constraint
+// coefficients aj to a solved tableau. The artificial block holds
+// B⁻¹ of the scaled rows, so the column enters already expressed in
+// the current basis; resume with iterate.
+func (t *tableau) addColumn(cj float64, aj []float64) {
+	for i, row := range t.rows {
+		v := 0.0
+		for k, ak := range aj {
+			v += row[1+k] * t.scale[k] * ak
+		}
+		t.rows[i] = append(row, v)
+	}
+	rc := -cj
+	for k, ak := range aj {
+		rc += t.obj[1+k] * t.scale[k] * ak
+	}
+	t.obj = append(t.obj, rc)
+	t.cost = append(t.cost, cj)
+}
+
+// solution returns the structural x, the objective value and the row
+// duals y: at the optimum every column satisfies c_j − y·A_j ≤ 0 (to
+// tolerance). The phase-2 reduced cost of artificial column i is the
+// dual of scaled row i; a dropped redundant row keeps an all-zero
+// artificial column and so a zero dual.
+func (t *tableau) solution() ([]float64, float64, []float64) {
+	x := make([]float64, len(t.cost))
+	for i, bj := range t.basis {
+		x[bj-1-t.m] = math.Max(t.rows[i][0], 0) // clamp rounding dust
+	}
+	val := 0.0
+	for j, cj := range t.cost {
+		val += cj * x[j]
+	}
+	y := make([]float64, t.m)
+	for i := range y {
+		y[i] = t.obj[1+i] * t.scale[i]
+	}
+	return x, val, y
+}
+
+// simplexSolve maximizes c·x subject to A·x = b, x ≥ 0 and returns the
+// optimal x, the objective value and the row duals (see solution).
+func simplexSolve(c []float64, a [][]float64, b []float64) ([]float64, float64, []float64, error) {
+	t, err := newTableau(c, a, b)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	if err := t.solve(); err != nil {
+		return nil, 0, nil, err
+	}
+	x, val, y := t.solution()
+	return x, val, y, nil
+}
+
+// iterate runs primal simplex pivots until the reduced-cost row is
+// non-negative. Only structural columns may enter.
+func (t *tableau) iterate() error {
+	m, n := len(t.rows), len(t.cost)
 	maxIter := 200*(m+n) + 2000
 	blandAfter := 20*(m+n) + 200
 	for iter := 0; ; iter++ {
 		if iter > maxIter {
 			return fmt.Errorf("iteration limit %d exceeded", maxIter)
 		}
-		// Entering column: Dantzig (most negative reduced cost, lowest
-		// index on ties), Bland (first negative) once degeneracy is
-		// suspected.
+		bland := iter > blandAfter
 		enter := -1
-		if iter > blandAfter {
-			for j := 0; j < n; j++ {
-				if obj[j] < -optTol {
-					enter = j
+		best := -optTol
+		for j := t.m + 1; j < len(t.obj); j++ {
+			if t.obj[j] < best {
+				best, enter = t.obj[j], j
+				if bland {
 					break
-				}
-			}
-		} else {
-			best := -optTol
-			for j := 0; j < n; j++ {
-				if obj[j] < best {
-					best = obj[j]
-					enter = j
 				}
 			}
 		}
 		if enter < 0 {
 			return nil // optimal
 		}
-		// Leaving row: minimum ratio; ties break toward the smallest
-		// basis label, which is what makes the Bland fallback exact.
+		// Leaving row: Harris's two-pass ratio test. The first pass finds
+		// the smallest step with every right-hand side relaxed by optTol;
+		// the second picks, among rows that block within it, the largest
+		// pivot (under Bland the smallest basis label, which keeps the
+		// fallback cycle-free). On degenerate programs this keeps pivots
+		// well away from rounding noise.
+		limit := math.Inf(1)
+		for _, row := range t.rows {
+			if piv := row[enter]; piv > ratioTol {
+				limit = math.Min(limit, (math.Max(row[0], 0)+optTol)/piv)
+			}
+		}
 		leave := -1
-		bestRatio := math.Inf(1)
-		for i := 0; i < m; i++ {
-			piv := t[i][enter]
-			if piv <= ratioTol {
+		for i, row := range t.rows {
+			piv := row[enter]
+			if piv <= ratioTol || math.Max(row[0], 0)/piv > limit {
 				continue
 			}
-			ratio := t[i][width-1] / piv
-			if leave < 0 || ratio < bestRatio-1e-12 ||
-				(ratio <= bestRatio+1e-12 && basis[i] < basis[leave]) {
+			if leave < 0 || (bland && t.basis[i] < t.basis[leave]) || (!bland && piv > t.rows[leave][enter]) {
 				leave = i
-				bestRatio = ratio
 			}
 		}
 		if leave < 0 {
-			return fmt.Errorf("unbounded direction entering column %d", enter)
+			return fmt.Errorf("unbounded direction entering column %d", enter-1-t.m)
 		}
-		simplexPivot(t, obj, basis, leave, enter)
+		t.pivot(leave, enter)
 	}
 }
 
-// simplexPivot performs one tableau pivot at (row, col).
-func simplexPivot(t [][]float64, obj []float64, basis []int, row, col int) {
-	width := len(obj)
-	piv := t[row][col]
-	inv := 1 / piv
-	pr := t[row]
-	for j := 0; j < width; j++ {
+// pivot performs one tableau pivot at (row, col).
+func (t *tableau) pivot(row, col int) {
+	pr := t.rows[row]
+	inv := 1 / pr[col]
+	for j := range pr {
 		pr[j] *= inv
 	}
 	pr[col] = 1 // exact
-	for i := range t {
-		if i == row {
-			continue
-		}
-		f := t[i][col]
+	eliminate := func(r []float64) {
+		f := r[col]
 		if f == 0 {
-			continue
+			return
 		}
-		ri := t[i]
-		for j := 0; j < width; j++ {
-			ri[j] -= f * pr[j]
+		for j, v := range pr {
+			r[j] -= f * v
 		}
-		ri[col] = 0 // exact
+		r[col] = 0 // exact
 	}
-	if f := obj[col]; f != 0 {
-		for j := 0; j < width; j++ {
-			obj[j] -= f * pr[j]
+	for i, r := range t.rows {
+		if i != row {
+			eliminate(r)
 		}
-		obj[col] = 0
 	}
-	basis[row] = col
+	eliminate(t.obj)
+	t.basis[row] = col
 }

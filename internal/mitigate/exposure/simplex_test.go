@@ -5,16 +5,15 @@ import (
 	"testing"
 )
 
+// knownOptimum is maximize 3x + 2y s.t. x + y + s1 = 4,
+// x + 3y + s2 = 6; optimum at (4, 0): value 12.
+func knownOptimum() ([]float64, [][]float64, []float64) {
+	return []float64{3, 2, 0, 0}, [][]float64{{1, 1, 1, 0}, {1, 3, 0, 1}}, []float64{4, 6}
+}
+
 func TestSimplexKnownOptimum(t *testing.T) {
-	// maximize 3x + 2y s.t. x + y + s1 = 4, x + 3y + s2 = 6; optimum at
-	// (4, 0): value 12.
-	c := []float64{3, 2, 0, 0}
-	a := [][]float64{
-		{1, 1, 1, 0},
-		{1, 3, 0, 1},
-	}
-	b := []float64{4, 6}
-	x, val, err := simplexSolve(c, a, b)
+	c, a, b := knownOptimum()
+	x, val, _, err := simplexSolve(c, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,12 +25,27 @@ func TestSimplexKnownOptimum(t *testing.T) {
 	}
 }
 
+// TestSimplexDuals: the first row binds at x = 4 and prices it at 3
+// (the objective gains 3 per unit of its right-hand side); the second
+// row has slack, so its dual is 0. The first row is equilibrated by
+// 1/4 internally, which the returned duals must undo.
+func TestSimplexDuals(t *testing.T) {
+	c, a, b := knownOptimum()
+	_, _, y, err := simplexSolve(c, a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(y) != 2 || math.Abs(y[0]-3) > 1e-9 || math.Abs(y[1]) > 1e-9 {
+		t.Fatalf("duals %v, want (3, 0)", y)
+	}
+}
+
 func TestSimplexNegativeRHS(t *testing.T) {
 	// -x - y = -3 normalizes to x + y = 3; maximize x gives 3.
 	c := []float64{1, 0}
 	a := [][]float64{{-1, -1}}
 	b := []float64{-3}
-	x, val, err := simplexSolve(c, a, b)
+	x, val, _, err := simplexSolve(c, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +62,7 @@ func TestSimplexInfeasible(t *testing.T) {
 		{1, 1},
 	}
 	b := []float64{1, 3}
-	if _, _, err := simplexSolve(c, a, b); err == nil {
+	if _, _, _, err := simplexSolve(c, a, b); err == nil {
 		t.Fatal("infeasible program solved")
 	}
 }
@@ -58,7 +72,7 @@ func TestSimplexUnbounded(t *testing.T) {
 	c := []float64{1, 0}
 	a := [][]float64{{1, -1}}
 	b := []float64{0}
-	if _, _, err := simplexSolve(c, a, b); err == nil {
+	if _, _, _, err := simplexSolve(c, a, b); err == nil {
 		t.Fatal("unbounded program solved")
 	}
 }
@@ -73,7 +87,7 @@ func TestSimplexRedundantRows(t *testing.T) {
 		{2, 2},
 	}
 	b := []float64{2, 2, 4}
-	x, val, err := simplexSolve(c, a, b)
+	x, val, _, err := simplexSolve(c, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,17 +97,17 @@ func TestSimplexRedundantRows(t *testing.T) {
 }
 
 func TestSimplexEmptyProgram(t *testing.T) {
-	if _, _, err := simplexSolve(nil, nil, nil); err == nil {
+	if _, _, _, err := simplexSolve(nil, nil, nil); err == nil {
 		t.Fatal("empty program solved")
 	}
-	if _, _, err := simplexSolve([]float64{1}, [][]float64{{1, 2}}, []float64{1}); err == nil {
+	if _, _, _, err := simplexSolve([]float64{1}, [][]float64{{1, 2}}, []float64{1}); err == nil {
 		t.Fatal("ragged row accepted")
 	}
 }
 
 func TestSimplexDegenerateTransportation(t *testing.T) {
-	// A 3x3 transportation polytope with unit margins (the exact-regime
-	// shape) is maximally degenerate; the Bland fallback must still
+	// A 3x3 transportation polytope with unit margins (an assignment
+	// problem) is maximally degenerate; the pivot rules must still
 	// terminate at the assignment optimum: utilities u=(3,2,1) on
 	// discounts v=(1,0.6,0.5) give 3·1+2·0.6+1·0.5 = 4.7.
 	u := []float64{3, 2, 1}
@@ -117,7 +131,7 @@ func TestSimplexDegenerateTransportation(t *testing.T) {
 			a[n+j][i*n+j] = 1
 		}
 	}
-	x, val, err := simplexSolve(c, a, b)
+	x, val, _, err := simplexSolve(c, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}

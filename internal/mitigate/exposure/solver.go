@@ -1,100 +1,63 @@
 package exposure
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
-// Config tunes the solver. The zero value selects the defaults.
-type Config struct {
-	// MaxExact is the largest population solved at full item×position
-	// granularity (n² LP variables). Above it the polytope coarsens to
-	// tier×block granularity (see the package comment). 0 selects 64.
-	MaxExact int
-	// TiersPerGroup caps how many score tiers a group is split into in
-	// the coarse regime. 0 selects 12.
-	TiersPerGroup int
+// Config has no fields. The solver is exact at every population size
+// and needs no tuning; the type stays so existing call sites that pass
+// Config{} keep compiling.
+type Config struct{}
+
+// Component is one ranking of the optimal distribution with its
+// probability.
+type Component struct {
+	// Weight is the convex coefficient; the weights of a solution are
+	// positive and sum to 1.
+	Weight float64
+	// Ranking is a permutation of the population's row indices, best
+	// first.
+	Ranking []int
 }
 
-func (c Config) maxExact() int {
-	if c.MaxExact == 0 {
-		return 64
-	}
-	return c.MaxExact
-}
-
-func (c Config) tiersPerGroup() int {
-	if c.TiersPerGroup == 0 {
-		return 12
-	}
-	return c.TiersPerGroup
-}
-
-// Tier is a run of same-group rows the LP treats as one unit row of
-// the transportation polytope. Rows are ordered best-first (score
-// descending, row index ascending). In the exact regime every tier
-// holds exactly one row.
-type Tier struct {
-	// Group indexes the input partitioning.
-	Group int
-	// Rows are the member rows, best first.
-	Rows []int
-	// Utility is the mean input score of Rows — the tier's objective
-	// coefficient per unit of position discount.
-	Utility float64
-}
-
-// Block is a run of consecutive ranking positions the LP treats as one
-// unit column. In the exact regime every block is a single position.
-type Block struct {
-	// Start is the first position of the block, 0-based.
-	Start int
-	// Size is how many consecutive positions the block spans.
-	Size int
-	// Bias is the mean position discount 1/log2(1+rank) over the
-	// block's positions.
-	Bias float64
-}
-
-// Solution is the solved exposure LP: the optimal mass matrix over the
-// (tier × block) transportation polytope together with the model
-// quantities FaiRank reports. In the exact regime the matrix is
-// doubly stochastic and its Birkhoff–von-Neumann decomposition yields
-// permutation matrices.
+// Solution is the solved exposure LP: a distribution over at most
+// 2G+2 rankings (G = group count) together with the expected
+// quantities FaiRank reports, all computed from those rankings.
 type Solution struct {
-	// N is the population size; MinRatio echoes the enforced
-	// expected-exposure ratio floor.
-	N        int
-	MinRatio float64
-	// Exact reports whether the LP ran at item×position granularity.
-	Exact bool
-	// Tiers and Blocks describe the polytope axes.
-	Tiers  []Tier
-	Blocks []Block
-	// X is the optimal mass matrix, row-major [tier*len(Blocks)+block].
-	// Row sums equal tier sizes, column sums equal block sizes.
-	X []float64
-	// Scores echoes the input utilities (used to order rows inside a
-	// realized block).
-	Scores []float64
-	// GroupSizes[g] is the population of input group g.
-	GroupSizes []int
-	// GroupExposure[g] is group g's expected exposure under X — mean
-	// accumulated block discount per member. The LP guarantees
-	// min/max ≥ MinRatio to solver tolerance.
+	// Support holds the rankings with positive weight, in the order the
+	// column generation found them.
+	Support []Component
+	// GroupExposure[g] is group g's expected exposure under the
+	// distribution: the weighted mean position discount per member.
+	// The LP guarantees min/max ≥ the floor to solver tolerance.
 	GroupExposure []float64
-	// Utility is the expected utility Σ u·X·v the optimum attains.
+	// Utility is the expected utility Σ_k w_k Σ_i u_i·v_{π_k(i)}.
 	Utility float64
 }
 
-// Solve builds and solves the fairness-of-exposure LP for one
-// population: scores order the rows (higher is better), groups is a
-// disjoint cover of 0..n-1, and minRatio ∈ (0,1] is the floor every
-// pairwise ratio of expected group exposures must meet. The polytope
-// always contains the uniform matrix, so every minRatio ≤ 1 is
-// feasible; errors are configuration errors, never infeasibility.
-func Solve(scores []float64, groups [][]int, minRatio float64, cfg Config) (*Solution, error) {
+// column is one variable of the master LP: a ranking (nil for the
+// uniform seed) with its utility and per-group exposure.
+type column struct {
+	ranking  []int
+	utility  float64
+	exposure []float64
+}
+
+// weightDust is the largest master weight treated as zero: simplex
+// rounding can leave a column that belongs at zero basic at ~1e-17.
+const weightDust = 1e-12
+
+// Solve solves the fairness-of-exposure LP for one population by
+// column generation over whole rankings: scores order the rows (higher
+// is better), groups is a disjoint cover of 0..n-1, and minRatio ∈
+// (0,1] is the floor every pairwise ratio of expected group exposures
+// must meet. The uniform distribution meets every floor ≤ 1, so errors
+// are configuration errors or solver failures, never infeasibility.
+// The Config argument is ignored.
+func Solve(scores []float64, groups [][]int, minRatio float64, _ Config) (*Solution, error) {
 	n := len(scores)
 	if n == 0 {
 		return nil, fmt.Errorf("exposure: no scores")
@@ -105,7 +68,7 @@ func Solve(scores []float64, groups [][]int, minRatio float64, cfg Config) (*Sol
 	if minRatio <= 0 || minRatio > 1 {
 		return nil, fmt.Errorf("exposure: ratio floor %g outside (0,1]", minRatio)
 	}
-	seen := make([]bool, n)
+	groupOf := slices.Repeat([]int{-1}, n)
 	covered := 0
 	for g, rows := range groups {
 		if len(rows) == 0 {
@@ -115,10 +78,10 @@ func Solve(scores []float64, groups [][]int, minRatio float64, cfg Config) (*Sol
 			if r < 0 || r >= n {
 				return nil, fmt.Errorf("exposure: group %d row %d outside population of %d", g, r, n)
 			}
-			if seen[r] {
+			if groupOf[r] >= 0 {
 				return nil, fmt.Errorf("exposure: row %d appears in two groups", r)
 			}
-			seen[r] = true
+			groupOf[r] = g
 			covered++
 		}
 	}
@@ -126,251 +89,258 @@ func Solve(scores []float64, groups [][]int, minRatio float64, cfg Config) (*Sol
 		return nil, fmt.Errorf("exposure: groups cover %d of %d rows; a full partitioning is required", covered, n)
 	}
 
-	sol := &Solution{
-		N:          n,
-		MinRatio:   minRatio,
-		Exact:      n <= cfg.maxExact(),
-		Scores:     append([]float64(nil), scores...),
-		GroupSizes: make([]int, len(groups)),
+	G := len(groups)
+	bias := make([]float64, n)
+	sumU, sumV, maxU := 0.0, 0.0, 0.0
+	for i := range bias {
+		bias[i] = PositionBias(i + 1)
+		sumV += bias[i]
+		sumU += scores[i]
+		maxU = math.Max(maxU, math.Abs(scores[i]))
 	}
-	for g, rows := range groups {
-		sol.GroupSizes[g] = len(rows)
+	newColumn := func(ranking []int) column {
+		c := column{ranking: ranking, exposure: make([]float64, G)}
+		for pos, row := range ranking {
+			c.utility += scores[row] * bias[pos]
+			c.exposure[groupOf[row]] += bias[pos]
+		}
+		for g := range c.exposure {
+			c.exposure[g] /= float64(len(groups[g]))
+		}
+		return c
 	}
-	// The per-group tier allowance shrinks when the partitioning has
-	// many groups (the quantification engine can hand over dozens), so
-	// the LP stays at a few hundred rows regardless of group count.
-	perGroup := cfg.tiersPerGroup()
-	if budget := 128 / len(groups); budget < perGroup {
-		perGroup = budget
-	}
-	if perGroup < 2 {
-		perGroup = 2
-	}
-	sol.Tiers = buildTiers(scores, groups, sol.Exact, perGroup)
-	sol.Blocks = buildBlocks(n, sol.Exact)
 
-	T, B := len(sol.Tiers), len(sol.Blocks)
-	nGroups := len(groups)
-	// The floor on every pairwise ratio min E / max E ≥ R is encoded
-	// through two bound variables rather than g·(g−1) pairwise rows
-	// (the quantification engine can hand over dozens of groups, and a
-	// quadratic constraint count would dwarf the polytope itself):
-	//
-	//	E_g − L − s_g = 0   (s_g ≥ 0: L ≤ every group exposure)
-	//	E_g − U + w_g = 0   (w_g ≥ 0: U ≥ every group exposure)
-	//	L − R·U − t   = 0   (t ≥ 0: the floor itself)
-	//
-	// Feasible (L,U) exist iff min E ≥ R·max E, so the two encodings
-	// accept exactly the same mass matrices. Variable layout: T·B mass
-	// entries, then L, U, s_0..s_{G−1}, w_0..w_{G−1}, t.
-	vL := T * B
-	vU := vL + 1
-	vS := func(g int) int { return vU + 1 + g }
-	vW := func(g int) int { return vU + 1 + nGroups + g }
-	vT := vU + 1 + 2*nGroups
-	nVars := vT + 1
-	nRows := T + B + 2*nGroups + 1
+	// The uniform doubly-stochastic column (every row at every position
+	// with probability 1/n) gives every group the same exposure, so it
+	// makes the first master feasible at any floor. Its utility carries
+	// a penalty M larger than any ranking's utility span: the n cyclic
+	// shifts of any ranking average to the same exposures at utility
+	// U(uniform), so every optimum of the full LP gives it weight 0.
+	bigM := float64(n)*maxU*bias[0] + 1
+	uniform := column{utility: sumU*sumV/float64(n) - bigM, exposure: slices.Repeat([]float64{sumV / float64(n)}, G)}
+	cols := []column{newColumn(rankBy(scores))}
+
+	// Pricing: under row duals y a ranking π's reduced cost is
+	//	Σ_i u_i·v_π(i) − Σ_g (y_lo,g + y_hi,g)·E_g(π) − y_sum
+	//	= Σ_i a_i·v_π(i) − y_sum,  a_i = u_i − (y_lo,g(i) + y_hi,g(i))/|g(i)|,
+	// and v is decreasing, so by the rearrangement inequality sorting
+	// rows by a descending maximizes it over all n! rankings. That best
+	// Σ a·v bounds the full LP's optimum from above, plus fixedGain: what
+	// the master's fixed columns (L, U, the slacks and t, each at most 1)
+	// could still add where y prices them positively — zero for exact
+	// master duals, but it keeps the bound valid under rounding drift.
+	a := make([]float64, n)
+	price := func(y []float64) column {
+		for i := range a {
+			g := groupOf[i]
+			a[i] = scores[i] - (y[2*g]+y[2*g+1])/float64(len(groups[g]))
+		}
+		return newColumn(rankBy(a))
+	}
+	// next returns a column that improves the master with duals y and
+	// value z, or nil once the best bound seen is within tol of z. It
+	// prices first at a point between the duals of that best bound and
+	// y (Wentges smoothing: the master's own duals oscillate, and with
+	// many groups plain pricing tails off over hundreds of rounds), then
+	// at y itself, where a non-improving best column proves optimality.
+	tol := optTol * bigM
+	var center []float64
+	best := math.Inf(1)
+	next := func(y []float64, z float64) *column {
+		smoothed := y
+		if center != nil {
+			smoothed = make([]float64, len(y))
+			for i := range y {
+				smoothed[i] = 0.8*center[i] + 0.2*y[i]
+			}
+		}
+		for _, at := range [][]float64{smoothed, y} {
+			col := price(at)
+			if bound := col.reducedCost(at) + at[2*G+1] + fixedGain(at, minRatio); bound < best {
+				best, center = bound, at
+			}
+			if best-z <= tol {
+				return nil
+			}
+			if col.reducedCost(y) > tol {
+				return &col
+			}
+		}
+		return nil
+	}
+
+	// Each pass solves the master over every column so far afresh,
+	// then adds columns to the solved tableau until no ranking
+	// improves it or its duals drift. The answer is read only from a
+	// pass that added none, so it never rests on a tableau carried
+	// through many pivots.
+	maxRounds := 20*(2*G+2) + 200
+	for rounds := 0; ; {
+		master, err := newMaster(cols, uniform, minRatio)
+		if err != nil {
+			return nil, err
+		}
+		for added := 0; ; added++ {
+			w, z, y := master.solution()
+			if added > 0 && fixedGain(y, minRatio) > tol {
+				break
+			}
+			col := next(y, z)
+			if col == nil && added == 0 {
+				if w[len(cols)] > weightDust {
+					return nil, fmt.Errorf("exposure: optimum keeps weight %g on the uniform seed column", w[len(cols)])
+				}
+				return newSolution(cols, w), nil
+			}
+			if col == nil {
+				break
+			}
+			if rounds++; rounds > maxRounds {
+				return nil, fmt.Errorf("exposure: column generation did not converge in %d rounds", maxRounds)
+			}
+			cols = append(cols, *col)
+			master.addColumn(col.utility, col.coefficients())
+			if master.iterate() != nil {
+				break
+			}
+		}
+	}
+}
+
+// fixedGain is Σ max(0, c_j − y·A_j) over the master's fixed columns
+// L, U, s_g, w_g and t (all with c_j = 0).
+func fixedGain(y []float64, minRatio float64) float64 {
+	G := len(y)/2 - 1
+	lo, hi := 0.0, 0.0
+	gain := math.Max(y[2*G], 0)
+	for g := 0; g < G; g++ {
+		lo, hi = lo+y[2*g], hi+y[2*g+1]
+		gain += math.Max(y[2*g], 0) + math.Max(-y[2*g+1], 0)
+	}
+	return gain + math.Max(lo-y[2*G], 0) + math.Max(hi+minRatio*y[2*G], 0)
+}
+
+// reducedCost is c − y·A for the column under master duals y.
+func (c column) reducedCost(y []float64) float64 {
+	rc := c.utility
+	for i, v := range c.coefficients() {
+		rc -= y[i] * v
+	}
+	return rc
+}
+
+// coefficients is the column's constraint vector in the master's rows:
+// E_g in both bound rows of every group, 0 in the floor row, 1 in the
+// convexity row.
+func (c column) coefficients() []float64 {
+	G := len(c.exposure)
+	out := make([]float64, 2*G+2)
+	for g, e := range c.exposure {
+		out[2*g], out[2*g+1] = e, e
+	}
+	out[2*G+1] = 1
+	return out
+}
+
+// newMaster builds and solves the restricted master LP over cols plus
+// the uniform seed (after them). Rows, for G groups: E_g − L − s_g = 0
+// and E_g − U + w_g = 0 per group (so L ≤ every E_g ≤ U),
+// L − R·U − t = 0 (the floor: min E ≥ R·max E), and Σ weights = 1.
+// Variables: the columns, then L, U, s_0..s_{G−1}, w_0..w_{G−1}, t.
+func newMaster(cols []column, uniform column, minRatio float64) (*tableau, error) {
+	G := len(uniform.exposure)
+	K := len(cols) + 1
+	vL, vU := K, K+1
+	nVars := K + 2 + 2*G + 1
 	c := make([]float64, nVars)
-	A := make([][]float64, nRows)
-	rhs := make([]float64, nRows)
+	A := make([][]float64, 2*G+2)
 	for i := range A {
 		A[i] = make([]float64, nVars)
 	}
-	at := func(t, b int) int { return t*B + b }
-	for t, tier := range sol.Tiers {
-		for b, blk := range sol.Blocks {
-			c[at(t, b)] = tier.Utility * blk.Bias
+	for k, col := range append(cols[:len(cols):len(cols)], uniform) {
+		c[k] = col.utility
+		for i, v := range col.coefficients() {
+			A[i][k] = v
 		}
 	}
-	// Row sums: Σ_b x_tb = |tier t|.
-	for t, tier := range sol.Tiers {
-		for b := 0; b < B; b++ {
-			A[t][at(t, b)] = 1
-		}
-		rhs[t] = float64(len(tier.Rows))
+	for g := 0; g < G; g++ {
+		A[2*g][vL] = -1
+		A[2*g][vU+1+g] = -1
+		A[2*g+1][vU] = -1
+		A[2*g+1][vU+1+G+g] = 1
 	}
-	// Column sums: Σ_t x_tb = |block b|.
-	for b, blk := range sol.Blocks {
-		row := T + b
-		for t := 0; t < T; t++ {
-			A[row][at(t, b)] = 1
-		}
-		rhs[row] = float64(blk.Size)
-	}
-	// Exposure bounds: E_g = Σ_{t∈g,b} x_tb·v̄_b/|g|.
-	for g := 0; g < nGroups; g++ {
-		lo := T + B + 2*g
-		hi := lo + 1
-		for t, tier := range sol.Tiers {
-			if tier.Group != g {
-				continue
-			}
-			coeff := 1 / float64(sol.GroupSizes[g])
-			for b, blk := range sol.Blocks {
-				A[lo][at(t, b)] = coeff * blk.Bias
-				A[hi][at(t, b)] = coeff * blk.Bias
-			}
-		}
-		A[lo][vL] = -1
-		A[lo][vS(g)] = -1
-		A[hi][vU] = -1
-		A[hi][vW(g)] = 1
-	}
-	// The floor: L − R·U − t = 0.
-	floor := T + B + 2*nGroups
-	A[floor][vL] = 1
-	A[floor][vU] = -minRatio
-	A[floor][vT] = -1
-
-	x, _, err := simplexSolve(c, A, rhs)
+	A[2*G][vL] = 1
+	A[2*G][vU] = -minRatio
+	A[2*G][nVars-1] = -1
+	b := make([]float64, 2*G+2)
+	b[2*G+1] = 1
+	t, err := newTableau(c, A, b)
 	if err != nil {
 		return nil, err
 	}
-	sol.X = x[:T*B]
-	// Backstop: a silently corrupted tableau (drift over thousands of
-	// pivots) would poison the decomposition downstream; fail loudly
-	// instead.
-	for t, tier := range sol.Tiers {
-		sum := 0.0
-		for b := 0; b < B; b++ {
-			sum += sol.X[at(t, b)]
-		}
-		if math.Abs(sum-float64(len(tier.Rows))) > 1e-6 {
-			return nil, fmt.Errorf("exposure: solver lost tier %d margin (%g for %d rows)", t, sum, len(tier.Rows))
-		}
+	if err := t.solve(); err != nil {
+		return nil, fmt.Errorf("exposure: master: %w", err)
 	}
-	for b, blk := range sol.Blocks {
-		sum := 0.0
-		for t := 0; t < T; t++ {
-			sum += sol.X[at(t, b)]
-		}
-		if math.Abs(sum-float64(blk.Size)) > 1e-6 {
-			return nil, fmt.Errorf("exposure: solver lost block %d margin (%g for size %d)", b, sum, blk.Size)
-		}
-	}
-	sol.GroupExposure = make([]float64, nGroups)
-	for t, tier := range sol.Tiers {
-		for b, blk := range sol.Blocks {
-			mass := sol.X[at(t, b)]
-			sol.GroupExposure[tier.Group] += mass * blk.Bias
-			sol.Utility += mass * tier.Utility * blk.Bias
-		}
-	}
-	for g := range sol.GroupExposure {
-		sol.GroupExposure[g] /= float64(sol.GroupSizes[g])
-	}
-	return sol, nil
+	return t, nil
 }
 
-// ExposureRatio is the worst pairwise ratio of expected group
-// exposures under the optimum — the statistic the LP floor constrains.
-func (s *Solution) ExposureRatio() float64 {
-	worst := 1.0
-	for i := 0; i < len(s.GroupExposure); i++ {
-		for j := i + 1; j < len(s.GroupExposure); j++ {
-			a, b := s.GroupExposure[i], s.GroupExposure[j]
-			hi := math.Max(a, b)
-			if hi == 0 {
-				continue
-			}
-			if r := math.Min(a, b) / hi; r < worst {
-				worst = r
-			}
+// newSolution keeps the columns with positive weight, renormalizes
+// their weights to sum to 1, and derives the expected exposures and
+// utility from the kept rankings.
+func newSolution(cols []column, w []float64) *Solution {
+	sol := &Solution{GroupExposure: make([]float64, len(cols[0].exposure))}
+	total := 0.0
+	for k := range cols {
+		if w[k] > weightDust {
+			total += w[k]
 		}
 	}
-	return worst
+	for k, col := range cols {
+		if w[k] <= weightDust {
+			continue
+		}
+		wk := w[k] / total
+		sol.Support = append(sol.Support, Component{Weight: wk, Ranking: col.ranking})
+		sol.Utility += wk * col.utility
+		for g, e := range col.exposure {
+			sol.GroupExposure[g] += wk * e
+		}
+	}
+	return sol
+}
+
+// Decompose returns the optimal distribution's support: the rankings
+// Solve found, with their weights. The slice is the Solution's own.
+// The error is always nil; it stays for existing call sites.
+func (s *Solution) Decompose() ([]Component, error) { return s.Support, nil }
+
+// ExposureRatio is the worst pairwise ratio of expected group
+// exposures under the optimum, min/max — the statistic the LP floor
+// constrains. Every group's exposure is positive.
+func (s *Solution) ExposureRatio() float64 {
+	lo, hi := math.Inf(1), 0.0
+	for _, e := range s.GroupExposure {
+		lo, hi = math.Min(lo, e), math.Max(hi, e)
+	}
+	return lo / hi
 }
 
 // PositionBias is the exposure discount of the 1-based rank, the
 // 1/log2(1+rank) of Singh & Joachims that the whole repository uses.
 func PositionBias(rank int) float64 { return 1 / math.Log2(1+float64(rank)) }
 
-// buildTiers splits each group's best-first row order into LP rows:
-// singleton tiers in the exact regime, geometrically growing tiers
-// (finest at the top of the ranking, where the discount curve is
-// steepest) capped at perGroup otherwise.
-func buildTiers(scores []float64, groups [][]int, exact bool, perGroup int) []Tier {
-	var tiers []Tier
-	for g, rows := range groups {
-		sorted := append([]int(nil), rows...)
-		sort.SliceStable(sorted, func(a, b int) bool {
-			ra, rb := sorted[a], sorted[b]
-			if scores[ra] != scores[rb] {
-				return scores[ra] > scores[rb]
-			}
-			return ra < rb
-		})
-		var sizes []int
-		if exact {
-			sizes = make([]int, len(sorted))
-			for i := range sizes {
-				sizes[i] = 1
-			}
-		} else {
-			sizes = geometricSizes(len(sorted), perGroup)
-		}
-		off := 0
-		for _, sz := range sizes {
-			part := sorted[off : off+sz]
-			u := 0.0
-			for _, r := range part {
-				u += scores[r]
-			}
-			tiers = append(tiers, Tier{Group: g, Rows: part, Utility: u / float64(sz)})
-			off += sz
-		}
+// rankBy orders the rows by key descending, ties by row index
+// ascending — the repository-wide deterministic tie-break.
+func rankBy(key []float64) []int {
+	order := make([]int, len(key))
+	for i := range order {
+		order[i] = i
 	}
-	return tiers
-}
-
-// buildBlocks splits the n ranking positions into LP columns:
-// singleton positions in the exact regime, geometrically growing
-// blocks otherwise.
-func buildBlocks(n int, exact bool) []Block {
-	var sizes []int
-	if exact {
-		sizes = make([]int, n)
-		for i := range sizes {
-			sizes[i] = 1
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(key[b], key[a]); c != 0 {
+			return c
 		}
-	} else {
-		sizes = geometricSizes(n, 0)
-	}
-	blocks := make([]Block, len(sizes))
-	pos := 0
-	for i, sz := range sizes {
-		bias := 0.0
-		for j := 0; j < sz; j++ {
-			bias += PositionBias(pos + j + 1)
-		}
-		blocks[i] = Block{Start: pos, Size: sz, Bias: bias / float64(sz)}
-		pos += sz
-	}
-	return blocks
-}
-
-// geometricSizes covers n slots with runs that double every second
-// step (1,1,2,2,4,4,…), so early slots — where the discount curve is
-// steep — stay fine-grained. A positive maxRuns caps the count, with
-// the last run absorbing the remainder.
-func geometricSizes(n, maxRuns int) []int {
-	var sizes []int
-	size, parity := 1, 0
-	for left := n; left > 0; {
-		if maxRuns > 0 && len(sizes) == maxRuns-1 {
-			sizes = append(sizes, left)
-			break
-		}
-		sz := size
-		if sz > left {
-			sz = left
-		}
-		sizes = append(sizes, sz)
-		left -= sz
-		if parity == 1 {
-			size *= 2
-		}
-		parity = 1 - parity
-	}
-	return sizes
+		return a - b
+	})
+	return order
 }

@@ -1,20 +1,20 @@
 package exposure
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
 
-// fixtures returns deterministic (scores, groups) populations spanning
-// both solver regimes and several group shapes.
-func fixtures() map[string]struct {
+type fixture struct {
 	scores []float64
 	groups [][]int
-} {
-	out := make(map[string]struct {
-		scores []float64
-		groups [][]int
-	})
+}
+
+// fixtures returns deterministic (scores, groups) populations of
+// several sizes and group shapes.
+func fixtures() map[string]fixture {
+	out := make(map[string]fixture)
 	add := func(name string, n, g int) {
 		scores := make([]float64, n)
 		for i := range scores {
@@ -24,109 +24,221 @@ func fixtures() map[string]struct {
 		for r := 0; r < n; r++ {
 			groups[(r*r+r/3)%g] = append(groups[(r*r+r/3)%g], r)
 		}
-		ok := true
 		for i := range groups {
 			if len(groups[i]) == 0 {
-				ok = false
+				return
 			}
 		}
-		if !ok {
-			return
-		}
-		out[name] = struct {
-			scores []float64
-			groups [][]int
-		}{scores, groups}
+		out[name] = fixture{scores, groups}
 	}
 	add("tiny-2", 8, 2)
 	add("exact-3", 40, 3)
 	add("exact-cap", 64, 2)
-	add("coarse-2", 150, 2)
-	add("coarse-9", 150, 9)
-	add("coarse-big", 400, 5)
+	add("n150-2", 150, 2)
+	add("n150-9", 150, 9)
+	add("n400-5", 400, 5)
 	return out
 }
 
+var floors = []float64{0.5, 0.9, 0.95, 1}
+
+// rankingStats recomputes a ranking's utility and per-group mean
+// position discount independently of the solver.
+func rankingStats(f fixture, ranking []int) (float64, []float64) {
+	groupOf := make([]int, len(f.scores))
+	for g, rows := range f.groups {
+		for _, r := range rows {
+			groupOf[r] = g
+		}
+	}
+	utility := 0.0
+	expo := make([]float64, len(f.groups))
+	for pos, row := range ranking {
+		utility += f.scores[row] * PositionBias(pos+1)
+		expo[groupOf[row]] += PositionBias(pos + 1)
+	}
+	for g := range expo {
+		expo[g] /= float64(len(f.groups[g]))
+	}
+	return utility, expo
+}
+
+// worstRatio is the smallest pairwise ratio min/max over exposures.
+func worstRatio(expo []float64) float64 {
+	lo, hi := math.Inf(1), 0.0
+	for _, e := range expo {
+		lo, hi = math.Min(lo, e), math.Max(hi, e)
+	}
+	return lo / hi
+}
+
+// checkSolution asserts the solver's invariants against the rankings
+// themselves: every support ranking is a permutation, the weights are
+// positive and sum to 1, the floor holds on the mixture of the
+// rankings, and GroupExposure and Utility are that mixture's.
+func checkSolution(t *testing.T, name string, f fixture, minRatio float64, sol *Solution) {
+	t.Helper()
+	n := len(f.scores)
+	if len(sol.Support) == 0 || len(sol.Support) > 2*len(f.groups)+2 {
+		t.Fatalf("%s R=%g: support of %d rankings, want 1..%d", name, minRatio, len(sol.Support), 2*len(f.groups)+2)
+	}
+	total, utility := 0.0, 0.0
+	expo := make([]float64, len(f.groups))
+	for k, comp := range sol.Support {
+		seen := make([]bool, n)
+		for _, r := range comp.Ranking {
+			if r < 0 || r >= n || seen[r] {
+				t.Fatalf("%s R=%g: support ranking %d is not a permutation", name, minRatio, k)
+			}
+			seen[r] = true
+		}
+		if len(comp.Ranking) != n {
+			t.Fatalf("%s R=%g: support ranking %d has %d of %d rows", name, minRatio, k, len(comp.Ranking), n)
+		}
+		if comp.Weight <= 0 {
+			t.Fatalf("%s R=%g: non-positive weight %g", name, minRatio, comp.Weight)
+		}
+		total += comp.Weight
+		u, e := rankingStats(f, comp.Ranking)
+		utility += comp.Weight * u
+		for g := range expo {
+			expo[g] += comp.Weight * e[g]
+		}
+	}
+	if math.Abs(total-1) > 1e-12 {
+		t.Fatalf("%s R=%g: weights sum to %.15f", name, minRatio, total)
+	}
+	if r := worstRatio(expo); r < minRatio-1e-9 {
+		t.Fatalf("%s R=%g: mixture ratio %.12f below the floor", name, minRatio, r)
+	}
+	if r := sol.ExposureRatio(); r < minRatio-1e-9 {
+		t.Fatalf("%s R=%g: reported ratio %.12f below the floor", name, minRatio, r)
+	}
+	if math.Abs(utility-sol.Utility) > 1e-9 {
+		t.Fatalf("%s R=%g: mixture utility %.12f, reported %.12f", name, minRatio, utility, sol.Utility)
+	}
+	for g := range expo {
+		if math.Abs(expo[g]-sol.GroupExposure[g]) > 1e-12 {
+			t.Fatalf("%s R=%g: group %d mixture exposure %g, reported %g", name, minRatio, g, expo[g], sol.GroupExposure[g])
+		}
+	}
+}
+
 // TestSolveMeetsFloor is the LP acceptance property: on every fixture
-// and floor, the optimum's worst pairwise expected-exposure ratio meets
-// the floor within 1e-9, margins hold, and mass is non-negative.
+// and floor the solution's invariants hold, checked from its rankings.
 func TestSolveMeetsFloor(t *testing.T) {
 	for name, f := range fixtures() {
-		for _, minRatio := range []float64{0.5, 0.9, 0.95, 1} {
+		for _, minRatio := range floors {
 			sol, err := Solve(f.scores, f.groups, minRatio, Config{})
 			if err != nil {
 				t.Fatalf("%s R=%g: %v", name, minRatio, err)
 			}
-			if r := sol.ExposureRatio(); r < minRatio-1e-9 {
-				t.Errorf("%s R=%g: optimum ratio %.12f below floor", name, minRatio, r)
+			checkSolution(t, name, f, minRatio, sol)
+		}
+	}
+}
+
+// denseOptimum holds the optimal utilities of the item×position LP
+// (n² variables, solved by the dense simplex) on three fixtures at
+// floors 0.5, 0.9, 0.95 and 1. The column-generation master has the
+// same optimum: the Birkhoff polytope is the convex hull of the
+// permutation matrices.
+var denseOptimum = map[string][4]float64{
+	"tiny-2":    {1.5230842485980134, 1.5038460681773644, 1.4970093486949063, 1.4905999241801007},
+	"exact-3":   {5.9309191796575691, 5.9172664215072475, 5.9033142342199563, 5.8901902177960785},
+	"exact-cap": {8.4069084048135938, 8.4069084048136151, 8.4069084048135796, 8.406571555270423},
+}
+
+func TestSolveMatchesDenseOptimum(t *testing.T) {
+	fx := fixtures()
+	for name, want := range denseOptimum {
+		f := fx[name]
+		for i, minRatio := range floors {
+			sol, err := Solve(f.scores, f.groups, minRatio, Config{})
+			if err != nil {
+				t.Fatalf("%s R=%g: %v", name, minRatio, err)
 			}
-			T, B := len(sol.Tiers), len(sol.Blocks)
-			for ti, tier := range sol.Tiers {
-				sum := 0.0
-				for b := 0; b < B; b++ {
-					if sol.X[ti*B+b] < -1e-9 {
-						t.Fatalf("%s R=%g: negative mass at (%d,%d)", name, minRatio, ti, b)
-					}
-					sum += sol.X[ti*B+b]
-				}
-				if math.Abs(sum-float64(len(tier.Rows))) > 1e-6 {
-					t.Fatalf("%s R=%g: tier %d margin %g for %d rows", name, minRatio, ti, sum, len(tier.Rows))
-				}
-			}
-			for b, blk := range sol.Blocks {
-				sum := 0.0
-				for ti := 0; ti < T; ti++ {
-					sum += sol.X[ti*B+b]
-				}
-				if math.Abs(sum-float64(blk.Size)) > 1e-6 {
-					t.Fatalf("%s R=%g: block %d margin %g for size %d", name, minRatio, b, sum, blk.Size)
-				}
+			if math.Abs(sol.Utility-want[i]) > 1e-9 {
+				t.Errorf("%s R=%g: utility %.15f, dense LP optimum %.15f", name, minRatio, sol.Utility, want[i])
 			}
 		}
 	}
 }
 
-// TestSolveRegimes checks the exact/coarse switch and the axes it
-// produces: singleton tiers and blocks up to MaxExact, full coverage in
-// both regimes.
-func TestSolveRegimes(t *testing.T) {
-	f := fixtures()["exact-cap"]
-	sol, err := Solve(f.scores, f.groups, 0.95, Config{})
+// permutations returns all n! orderings of 0..n-1.
+func permutations(n int) [][]int {
+	if n == 0 {
+		return [][]int{{}}
+	}
+	var out [][]int
+	for _, p := range permutations(n - 1) {
+		for at := 0; at <= len(p); at++ {
+			q := append(append(append([]int(nil), p[:at]...), n-1), p[at:]...)
+			out = append(out, q)
+		}
+	}
+	return out
+}
+
+// bruteForceUtility solves the master LP with every permutation as a
+// column: maximize Σ w_π U(π) s.t. L ≤ E_g ≤ U, L ≥ R·U, Σ w = 1.
+func bruteForceUtility(t *testing.T, f fixture, minRatio float64) float64 {
+	t.Helper()
+	perms := permutations(len(f.scores))
+	G := len(f.groups)
+	K := len(perms)
+	nVars := K + 2 + 2*G + 1
+	c := make([]float64, nVars)
+	A := make([][]float64, 2*G+2)
+	for i := range A {
+		A[i] = make([]float64, nVars)
+	}
+	b := make([]float64, 2*G+2)
+	for k, p := range perms {
+		u, e := rankingStats(f, p)
+		c[k] = u
+		for g := range e {
+			A[2*g][k], A[2*g+1][k] = e[g], e[g]
+		}
+		A[2*G+1][k] = 1
+	}
+	for g := 0; g < G; g++ {
+		A[2*g][K], A[2*g][K+2+g] = -1, -1
+		A[2*g+1][K+1], A[2*g+1][K+2+G+g] = -1, 1
+	}
+	A[2*G][K], A[2*G][K+1], A[2*G][nVars-1] = 1, -minRatio, -1
+	b[2*G+1] = 1
+	_, val, _, err := simplexSolve(c, A, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sol.Exact || len(sol.Tiers) != 64 || len(sol.Blocks) != 64 {
-		t.Fatalf("n=64 should be exact with singleton axes; got exact=%v tiers=%d blocks=%d", sol.Exact, len(sol.Tiers), len(sol.Blocks))
+	return val
+}
+
+// TestSolveMatchesBruteForce is the independent oracle: on small
+// populations the column-generated optimum equals the optimum of the
+// master LP over all n! rankings.
+func TestSolveMatchesBruteForce(t *testing.T) {
+	cases := map[string]fixture{
+		"one group":    {[]float64{0.9, 0.1, 0.5, 0.7, 0.3}, [][]int{{0, 1, 2, 3, 4}}},
+		"two groups":   {[]float64{0.9, 0.8, 0.7, 0.2, 0.1, 0.05}, [][]int{{0, 1, 2}, {3, 4, 5}}},
+		"three groups": {[]float64{3, 1, 4, 1.5, 9, 2.6, 5}, [][]int{{0, 3}, {1, 4, 6}, {2, 5}}},
+		"tied scores":  {[]float64{1, 1, 1, 0.5, 0.5, 0.5}, [][]int{{0, 3, 4}, {1, 2, 5}}},
+		"negative":     {[]float64{-0.2, 1.5, -3, 0.4, -1, 2}, [][]int{{0, 2, 4}, {1, 3}, {5}}},
+		"all equal":    {[]float64{2, 2, 2, 2}, [][]int{{0}, {1, 2, 3}}},
+		"uneven":       {[]float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7}, [][]int{{5, 6}, {0, 1, 2, 3, 4}}},
 	}
-	coarse, err := Solve(f.scores, f.groups, 0.95, Config{MaxExact: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if coarse.Exact {
-		t.Fatal("MaxExact=32 should coarsen n=64")
-	}
-	covered := 0
-	for _, tier := range coarse.Tiers {
-		covered += len(tier.Rows)
-		for i := 1; i < len(tier.Rows); i++ {
-			a, b := tier.Rows[i-1], tier.Rows[i]
-			if f.scores[a] < f.scores[b] || (f.scores[a] == f.scores[b] && a > b) {
-				t.Fatal("tier rows not in best-first order")
+	for name, f := range cases {
+		for _, minRatio := range floors {
+			sol, err := Solve(f.scores, f.groups, minRatio, Config{})
+			if err != nil {
+				t.Fatalf("%s R=%g: %v", name, minRatio, err)
+			}
+			checkSolution(t, name, f, minRatio, sol)
+			if want := bruteForceUtility(t, f, minRatio); math.Abs(sol.Utility-want) > 1e-9 {
+				t.Errorf("%s R=%g: utility %.15f, brute force %.15f", name, minRatio, sol.Utility, want)
 			}
 		}
-	}
-	if covered != 64 {
-		t.Fatalf("tiers cover %d of 64 rows", covered)
-	}
-	pos := 0
-	for _, blk := range coarse.Blocks {
-		if blk.Start != pos {
-			t.Fatalf("block starts at %d, want %d", blk.Start, pos)
-		}
-		pos += blk.Size
-	}
-	if pos != 64 {
-		t.Fatalf("blocks cover %d of 64 positions", pos)
 	}
 }
 
@@ -145,6 +257,98 @@ func TestSolveUtilityOrdersFloors(t *testing.T) {
 		}
 		prev = sol.Utility
 	}
+}
+
+// TestDecomposeDeterministic reruns Solve+Decompose on every fixture
+// and expects bit-identical components.
+func TestDecomposeDeterministic(t *testing.T) {
+	for name, f := range fixtures() {
+		var first string
+		for trial := 0; trial < 3; trial++ {
+			sol, err := Solve(f.scores, f.groups, 0.95, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			comps, err := sol.Decompose()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := fmt.Sprintf("%x %x %v", sol.Utility, sol.GroupExposure, comps)
+			for _, c := range comps {
+				got += fmt.Sprintf(" %x", c.Weight)
+			}
+			if trial == 0 {
+				first = got
+			} else if got != first {
+				t.Fatalf("%s: run %d differs from run 0", name, trial)
+			}
+		}
+	}
+}
+
+// TestDecomposeReconstructs: Decompose hands back the solution's own
+// support, and its weighted rankings reconstruct the reported expected
+// exposures and utility.
+func TestDecomposeReconstructs(t *testing.T) {
+	f := fixtures()["exact-3"]
+	sol, err := Solve(f.scores, f.groups, 0.95, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	comps, err := sol.Decompose()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(comps) != len(sol.Support) || &comps[0] != &sol.Support[0] {
+		t.Fatal("Decompose does not return the solution's support")
+	}
+	checkSolution(t, "exact-3", f, 0.95, sol)
+}
+
+// TestExpectedExposureIsMixture: the expected exposure the solution
+// reports equals the weight-averaged exposure of its rankings — the
+// guarantee the Distribution reports — and sits strictly between the
+// score-sorted ranking's extremes when the floor binds.
+func TestExpectedExposureIsMixture(t *testing.T) {
+	f := fixtures()["exact-3"]
+	sol, err := Solve(f.scores, f.groups, 1, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mix := make([]float64, len(f.groups))
+	for _, comp := range sol.Support {
+		_, e := rankingStats(f, comp.Ranking)
+		for g := range mix {
+			mix[g] += comp.Weight * e[g]
+		}
+	}
+	for g := range mix {
+		if math.Abs(mix[g]-sol.GroupExposure[g]) > 1e-12 {
+			t.Fatalf("group %d: mixture exposure %g vs reported %g", g, mix[g], sol.GroupExposure[g])
+		}
+		if math.Abs(mix[g]-mix[0]) > 1e-9 {
+			t.Fatalf("floor 1: group %d exposure %g differs from group 0's %g", g, mix[g], mix[0])
+		}
+	}
+	if len(sol.Support) < 2 {
+		t.Fatalf("floor 1 on an unequal population needs a mixture; got %d ranking", len(sol.Support))
+	}
+}
+
+// TestSolveLargePopulation checks the invariants at a size the dense
+// item×position LP could not reach.
+func TestSolveLargePopulation(t *testing.T) {
+	n := 5000
+	f := fixture{scores: make([]float64, n), groups: make([][]int, 3)}
+	for i := range f.scores {
+		f.scores[i] = float64((i*7919)%1000) / 1000
+		f.groups[(i/7)%3] = append(f.groups[(i/7)%3], i)
+	}
+	sol, err := Solve(f.scores, f.groups, 0.95, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSolution(t, "n=5000", f, 0.95, sol)
 }
 
 func TestSolveConfigErrors(t *testing.T) {
@@ -179,44 +383,5 @@ func TestPositionBias(t *testing.T) {
 		if PositionBias(r) <= PositionBias(r+1) {
 			t.Fatal("position bias must strictly decrease")
 		}
-	}
-}
-
-func TestGeometricSizes(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 7, 64, 400, 1000} {
-		for _, maxRuns := range []int{0, 1, 2, 5, 12} {
-			sizes := geometricSizes(n, maxRuns)
-			sum := 0
-			for _, s := range sizes {
-				if s <= 0 {
-					t.Fatalf("n=%d maxRuns=%d: non-positive run %d", n, maxRuns, s)
-				}
-				sum += s
-			}
-			if sum != n {
-				t.Fatalf("n=%d maxRuns=%d: runs sum to %d", n, maxRuns, sum)
-			}
-			if maxRuns > 0 && len(sizes) > maxRuns {
-				t.Fatalf("n=%d maxRuns=%d: %d runs", n, maxRuns, len(sizes))
-			}
-		}
-	}
-	want := []int{1, 1, 2, 2, 4, 4, 8, 8}
-	got := geometricSizes(30, 0)
-	for i, w := range want {
-		if got[i] != w {
-			t.Fatalf("geometricSizes(30) = %v, want prefix %v", got, want)
-		}
-	}
-}
-
-func TestConfigDefaults(t *testing.T) {
-	var c Config
-	if c.maxExact() != 64 || c.tiersPerGroup() != 12 {
-		t.Fatalf("zero Config resolves to (%d, %d), want (64, 12)", c.maxExact(), c.tiersPerGroup())
-	}
-	c = Config{MaxExact: 10, TiersPerGroup: 3}
-	if c.maxExact() != 10 || c.tiersPerGroup() != 3 {
-		t.Fatal("explicit Config ignored")
 	}
 }

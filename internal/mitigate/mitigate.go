@@ -33,11 +33,10 @@
 //     best-scoring candidate;
 //   - "exposure-lp": the stochastic form of the same notion (Singh &
 //     Joachims, NeurIPS 2018) — an LP over doubly-stochastic exposure
-//     matrices (internal/mitigate/exposure) whose optimum is
-//     decomposed via Birkhoff–von-Neumann into a distribution over
-//     rankings; the returned ranking is sampled from that
-//     distribution with a seeded RNG, and the exposure floor holds
-//     exactly in expectation.
+//     matrices (internal/mitigate/exposure) whose optimum is a
+//     distribution over a few rankings; the returned ranking is
+//     sampled from that distribution with a seeded RNG, and the
+//     exposure floor holds exactly in expectation.
 //
 // All strategies are deterministic: ties break by higher score, then
 // lower row index, and the one stochastic strategy draws from a
@@ -168,7 +167,7 @@ func Describe(name string) string {
 	case "exposure":
 		return "greedy rescoring capping the worst pairwise exposure ratio, best-effort"
 	case "exposure-lp":
-		return "stochastic exposure LP + Birkhoff–von-Neumann sampling; floor holds exactly in expectation (Singh & Joachims)"
+		return "stochastic exposure LP sampling from an optimal distribution over rankings; floor holds exactly in expectation (Singh & Joachims)"
 	default:
 		return ""
 	}

@@ -9,12 +9,12 @@ import (
 
 // Distribution is the full output of a stochastic mitigator: a
 // probability distribution over rankings (permutations with convex
-// weights, from the Birkhoff–von-Neumann decomposition of the
-// exposure LP optimum) plus the expected-value statistics the
-// distribution guarantees. Deterministic strategies commit to one
-// permutation; a Distribution dominates them on expected-exposure
-// constraints because the constraint is enforced on the mixture, not
-// on any single realization (Singh & Joachims, NeurIPS 2018).
+// weights, the support of the exposure LP optimum) plus the
+// expected-value statistics the distribution guarantees.
+// Deterministic strategies commit to one permutation; a Distribution
+// dominates them on expected-exposure constraints because the
+// constraint is enforced on the mixture, not on any single
+// realization (Singh & Joachims, NeurIPS 2018).
 type Distribution struct {
 	// Strategy names the mitigator that produced the distribution;
 	// Seed is the resolved sampling seed.
@@ -29,7 +29,7 @@ type Distribution struct {
 	Sampled int
 	// ExpectedExposure[g] is group g's expected exposure under the
 	// distribution (mean accumulated position discount per member,
-	// against the LP's block model); ExpectedRatio is the worst
+	// averaged over the support rankings); ExpectedRatio is the worst
 	// pairwise ratio of those expectations — the quantity the LP
 	// floor constrains, satisfied to solver tolerance even when any
 	// single sampled ranking violates it.
@@ -38,11 +38,6 @@ type Distribution struct {
 	// ExpectedUtility is the expected score mass at discounted
 	// positions, Σ u·P·v, under the optimum.
 	ExpectedUtility float64
-	// Exact reports whether the LP ran at item×position granularity
-	// (population ≤ the solver's exact cap); above the cap the
-	// expectations are computed against geometrically coarsened
-	// position blocks.
-	Exact bool
 }
 
 // Sample draws a ranking index from the distribution's weights using
@@ -72,21 +67,21 @@ type Stochastic interface {
 
 // ExposureLP is the stochastic fairness-of-exposure strategy
 // ("exposure-lp"): it solves Singh & Joachims' linear program over
-// doubly-stochastic exposure matrices — maximize expected utility
-// subject to every pairwise ratio of expected group exposures staying
-// at or above MinRatio — decomposes the optimum into a convex
-// combination of permutations (Birkhoff–von-Neumann), and samples the
-// returned ranking from that distribution with a seeded RNG.
+// distributions of rankings — maximize expected utility subject to
+// every pairwise ratio of expected group exposures staying at or above
+// MinRatio — whose optimum is a convex combination of a few
+// permutations, and samples the returned ranking from that
+// distribution with a seeded RNG.
 //
 // Where the greedy "exposure" strategy caps the realized exposure of
 // its single output ranking best-effort, exposure-lp certifies the
 // constraint in expectation exactly (to LP tolerance, 1e-9) and is
-// never infeasible: the uniform doubly-stochastic matrix satisfies
+// never infeasible: the uniform distribution over positions satisfies
 // every floor ≤ 1, so errors are configuration errors only.
 //
-// Determinism: the solve, the decomposition, and the seeded draw are
-// all pure functions of the Input, so a fixed seed yields
-// bit-identical results across runs and worker counts. Like
+// Determinism: the solve and the seeded draw are both pure functions
+// of the Input, so a fixed seed yields bit-identical results across
+// runs and worker counts. Like
 // "exposure", the strategy enforces an exposure floor rather than
 // representation targets, and Input.K plays no role beyond
 // validation.
@@ -97,9 +92,6 @@ type ExposureLP struct {
 	// Seed drives the sampling draw; 0 falls back to Input.Seed,
 	// then 1.
 	Seed uint64
-	// Solver tunes the LP granularity (exact cap, tiers per group).
-	// The zero value selects the package defaults.
-	Solver exposure.Config
 }
 
 // Name implements Mitigator.
@@ -115,8 +107,7 @@ func (m ExposureLP) Rerank(in Input) ([]int, error) {
 	return d.Rankings[d.Sampled], nil
 }
 
-// Distribute implements Stochastic: LP solve → BvN decomposition →
-// seeded sample.
+// Distribute implements Stochastic: LP solve → seeded sample.
 func (m ExposureLP) Distribute(in Input) (*Distribution, error) {
 	if _, err := in.validate(m.Name()); err != nil {
 		return nil, err
@@ -135,26 +126,21 @@ func (m ExposureLP) Distribute(in Input) (*Distribution, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	sol, err := exposure.Solve(in.Scores, in.Groups, minRatio, m.Solver)
-	if err != nil {
-		return nil, err
-	}
-	comps, err := sol.Decompose()
+	sol, err := exposure.Solve(in.Scores, in.Groups, minRatio, exposure.Config{})
 	if err != nil {
 		return nil, err
 	}
 	d := &Distribution{
 		Strategy:         m.Name(),
 		Seed:             seed,
-		Rankings:         make([][]int, len(comps)),
-		Weights:          make([]float64, len(comps)),
+		Rankings:         make([][]int, len(sol.Support)),
+		Weights:          make([]float64, len(sol.Support)),
 		ExpectedExposure: sol.GroupExposure,
 		ExpectedRatio:    sol.ExposureRatio(),
 		ExpectedUtility:  sol.Utility,
-		Exact:            sol.Exact,
 	}
-	for i, c := range comps {
-		d.Rankings[i] = sol.Ranking(c)
+	for i, c := range sol.Support {
+		d.Rankings[i] = c.Ranking
 		d.Weights[i] = c.Weight
 	}
 	if d.Sampled, err = d.Sample(seed); err != nil {

@@ -90,7 +90,7 @@ func TestExposureLPOutcomeDistribution(t *testing.T) {
 	if math.Abs(sum-1) > 1e-9 {
 		t.Errorf("weights sum to %g, want 1", sum)
 	}
-	if d.ExpectedRatio < 0.9-1e-6 {
+	if d.ExpectedRatio < 0.9-1e-9 {
 		t.Errorf("expected ratio %g below the 0.9 floor", d.ExpectedRatio)
 	}
 	if len(d.ExpectedExposure) != len(o.GroupLabels) {

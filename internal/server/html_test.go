@@ -71,6 +71,9 @@ func TestMitigateEndpointDistribution(t *testing.T) {
 	if sum < 1-1e-9 || sum > 1+1e-9 {
 		t.Errorf("weights sum to %g, want 1", sum)
 	}
+	if d.ExpectedRatio < 0.95-1e-9 {
+		t.Errorf("expected ratio %g below the default 0.95 floor", d.ExpectedRatio)
+	}
 	var again mitigateResponse
 	postJSON(t, ts.URL+"/api/mitigate", body, &again)
 	if again.Distribution == nil || again.Distribution.Sampled != d.Sampled ||

@@ -264,8 +264,14 @@ func TestPanelIDValidation(t *testing.T) {
 	}
 }
 
+// TestConcurrentQuantify: eight identical concurrent quantifies all
+// succeed, and every one either registers its own panel or is served
+// from an in-flight twin (request coalescing), so the panel count is 8
+// minus the coalesced count /api/health reports.
 func TestConcurrentQuantify(t *testing.T) {
 	ts := testServer(t)
+	var before, after Health
+	getJSON(t, ts.URL+"/api/health", &before)
 	done := make(chan error, 8)
 	for i := 0; i < 8; i++ {
 		go func() {
@@ -285,10 +291,11 @@ func TestConcurrentQuantify(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	getJSON(t, ts.URL+"/api/health", &after)
 	var panels []panelSummary
 	getJSON(t, ts.URL+"/api/panels", &panels)
-	if len(panels) != 8 {
-		t.Errorf("concurrent panels: %d", len(panels))
+	if coalesced := int(after.Coalesced - before.Coalesced); len(panels) != 8-coalesced {
+		t.Errorf("concurrent panels: %d, want 8 - %d coalesced", len(panels), coalesced)
 	}
 	ids := map[int]bool{}
 	for _, p := range panels {
