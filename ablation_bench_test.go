@@ -85,7 +85,7 @@ func BenchmarkAblationDistance(b *testing.B) {
 		fairness.EMD1D{},
 		fairness.KS{},
 		fairness.TotalVariation{},
-		fairness.EMDThresholded{Threshold: 0.4, Alpha: 1},
+		fairness.EMDThresholded{Threshold: 0.4},
 	}
 	for _, dist := range dists {
 		b.Run(dist.Name(), func(b *testing.B) {

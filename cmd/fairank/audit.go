@@ -31,7 +31,7 @@ func runAudit(args []string, out io.Writer) error {
 	topN := fs.Int("top-n", 0, "worst-N jobs in the rollup (default min(5, jobs))")
 	workers := fs.Int("workers", 0, "jobs audited concurrently (0 = all CPUs, 1 = sequential; report is identical)")
 	targets := fs.String("targets", "", "comma-separated group=proportion targets enforced on every job (use with -attrs and -max-depth 1)")
-	alpha := fs.Float64("alpha", 0.1, "FA*IR family-wise significance level, exactly adjusted per group (Bonferroni under fair-legacy)")
+	alpha := fs.Float64("alpha", 0.1, "FA*IR family-wise significance level, split across groups and exactly adjusted per group")
 	minRatio := fs.Float64("min-ratio", 0.95, "exposure strategies: worst-group exposure ratio floor")
 	mitigateSeed := fs.Uint64("mitigate-seed", 1, "exposure-lp: sampling seed used for every job (distinct from -seed, which generates the population)")
 	attrs := fs.String("attrs", "", "comma-separated protected attributes to partition on")

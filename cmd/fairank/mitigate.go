@@ -20,7 +20,7 @@ func runMitigate(args []string, out io.Writer) error {
 	fn := fs.String("fn", "", "scoring expression, e.g. '0.3*language_test + 0.7*rating'")
 	strategy := fs.String("strategy", "fair", "re-ranking strategy: "+strings.Join(fairank.MitigationStrategies(), " | "))
 	k := fs.Int("k", 0, "top-k prefix the constraints apply to (default min(10, n))")
-	alpha := fs.Float64("alpha", 0.1, "FA*IR family-wise significance level, exactly adjusted per group (Bonferroni under fair-legacy)")
+	alpha := fs.Float64("alpha", 0.1, "FA*IR family-wise significance level, split across groups and exactly adjusted per group")
 	minRatio := fs.Float64("min-ratio", 0.95, "exposure strategies: worst-group exposure ratio floor")
 	seed := fs.Uint64("seed", 1, "exposure-lp: sampling seed (same seed, same ranking on every run)")
 	targets := fs.String("targets", "", "comma-separated group=proportion targets, e.g. 'gender=Female=0.5,gender=Male=0.5'")

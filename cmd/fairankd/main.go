@@ -71,12 +71,11 @@ func main() {
 	}
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 
-	sess, m, err := buildSession(*preset, *n, *seed)
+	sess, m, err := buildSession(*preset, *n, *seed, *maxScopes)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	sess.SetCacheLimit(*maxScopes)
 	if m != nil {
 		logger.Info("registered dataset", "name", m.Name, "workers", m.Workers.Len())
 		for _, j := range m.Jobs {

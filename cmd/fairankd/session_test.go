@@ -11,7 +11,7 @@ import (
 )
 
 func TestBuildSessionDefault(t *testing.T) {
-	sess, m, err := buildSession("crowdsourcing", 200, 1)
+	sess, m, err := buildSession("crowdsourcing", 200, 1, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func TestBuildSessionDefault(t *testing.T) {
 }
 
 func TestBuildSessionNoPreset(t *testing.T) {
-	sess, m, err := buildSession("", 0, 0)
+	sess, m, err := buildSession("", 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,15 +38,23 @@ func TestBuildSessionNoPreset(t *testing.T) {
 }
 
 func TestBuildSessionBadPreset(t *testing.T) {
-	if _, _, err := buildSession("nope", 100, 1); err == nil {
+	if _, _, err := buildSession("nope", 100, 1, 64); err == nil {
 		t.Error("unknown preset should error")
+	}
+}
+
+// A negative -max-cached-scopes is refused at startup rather than
+// silently treated as unbounded.
+func TestBuildSessionNegativeCacheLimit(t *testing.T) {
+	if _, _, err := buildSession("", 0, 0, -5); err == nil {
+		t.Error("negative cache limit should error")
 	}
 }
 
 // TestServedSessionEndToEnd drives the daemon's handler exactly as the
 // UI does: list datasets, quantify the generated population.
 func TestServedSessionEndToEnd(t *testing.T) {
-	sess, m, err := buildSession("taskrabbit", 150, 3)
+	sess, m, err := buildSession("taskrabbit", 150, 3, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -212,7 +212,7 @@ func TestFacadeMitigatePipeline(t *testing.T) {
 	if !strings.Contains(text, "mitigation : detcons") {
 		t.Errorf("rendered report lacks strategy header:\n%s", text)
 	}
-	if len(MitigationStrategies()) != 6 {
+	if len(MitigationStrategies()) != 5 {
 		t.Errorf("strategies = %v", MitigationStrategies())
 	}
 	if _, err := MitigatorByName("nope"); err == nil {

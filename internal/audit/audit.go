@@ -55,8 +55,7 @@ type Options struct {
 	// bit-identical for every combination.
 	Workers int
 	// Alpha is the FA*IR family-wise significance level (default
-	// 0.1), split across groups and exactly adjusted per group
-	// (Bonferroni-divided under "fair-legacy").
+	// 0.1), split across groups and exactly adjusted per group.
 	Alpha float64
 	// MinExposureRatio is the exposure floor of the "exposure" and
 	// "exposure-lp" strategies (default 0.95).

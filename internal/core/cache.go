@@ -77,9 +77,8 @@ func NewCache() *Cache {
 // recently used beyond the bound. Each scope holds every histogram,
 // split and distance memoized for its combination, so the bound is
 // what keeps a long-lived server's memory flat when clients keep
-// sending new score vectors. 0 (the default) means unbounded. The
-// limit is sticky on the cache: Config.MaxCachedScopes applies it at
-// the start of a run and later runs inherit it.
+// sending new score vectors. 0 (the default) means unbounded, and so
+// does a negative n; callers validate their bound first.
 func (c *Cache) SetMaxScopes(n int) {
 	if c == nil {
 		return
@@ -249,9 +248,9 @@ type latestKey struct {
 }
 
 // measureID renders every measure field that can change a histogram or
-// distance value. Measure.Name() alone is not enough: EMDThresholded's
-// Alpha, for instance, is not part of its name, and the Lo/Hi score
-// range reshapes every histogram bin.
+// distance value. Measure.Name() alone is not enough: a Distance's
+// name need not render every field that changes its value, and the
+// Lo/Hi score range reshapes every histogram bin.
 func measureID(m fairness.Measure) string {
 	return fmt.Sprintf("%T%+v|%T%+v|bins=%d|lo=%g|hi=%g", m.Dist, m.Dist, m.Agg, m.Agg, m.Bins, m.Lo, m.Hi)
 }

@@ -80,21 +80,19 @@ func TestCacheLRUEvictionOrder(t *testing.T) {
 	}
 }
 
-// TestConfigMaxCachedScopes applies the bound through the Config knob
-// and rejects negatives.
-func TestConfigMaxCachedScopes(t *testing.T) {
+// TestCacheBoundAcrossRuns holds the SetMaxScopes bound across
+// Quantify runs sharing the cache.
+func TestCacheBoundAcrossRuns(t *testing.T) {
 	d := dataset.Table1()
 	c := NewCache()
+	c.SetMaxScopes(3)
 	for i := 0; i < 10; i++ {
-		if _, err := Quantify(d, scoreVariant(t, d, i), Config{Cache: c, MaxCachedScopes: 3}); err != nil {
+		if _, err := Quantify(d, scoreVariant(t, d, i), Config{Cache: c}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if n := c.Scopes(); n != 3 {
 		t.Errorf("cache holds %d scopes, want 3", n)
-	}
-	if _, err := Quantify(d, scoreVariant(t, d, 0), Config{MaxCachedScopes: -1}); err == nil {
-		t.Error("negative MaxCachedScopes accepted")
 	}
 }
 

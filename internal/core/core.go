@@ -106,13 +106,6 @@ type Config struct {
 	// work, never change a result. Nil scopes the memoization to the
 	// single run.
 	Cache *Cache
-	// MaxCachedScopes, when positive and Cache is set, bounds how many
-	// (dataset, scores, measure) scopes the cache retains, evicting
-	// the least recently used — the knob that keeps a long-lived
-	// server's memory flat under a stream of distinct requests. The
-	// bound sticks to the cache (see Cache.SetMaxScopes); 0 leaves the
-	// cache's current bound unchanged.
-	MaxCachedScopes int
 
 	// disablePrune and disableReuse switch off the bound-based pair
 	// pruning and the cross-scope incremental reuse. Both paths are
@@ -133,9 +126,6 @@ func (c Config) normalize(d *dataset.Dataset) (Config, error) {
 	}
 	if c.Workers < 0 {
 		return c, fmt.Errorf("core: negative Workers %d", c.Workers)
-	}
-	if c.MaxCachedScopes < 0 {
-		return c, fmt.Errorf("core: negative MaxCachedScopes %d", c.MaxCachedScopes)
 	}
 	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -319,9 +309,6 @@ func newEngine(d *dataset.Dataset, scores []float64, cfg Config) (*engine, error
 	cfg, err := cfg.normalize(d)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.MaxCachedScopes > 0 {
-		cfg.Cache.SetMaxScopes(cfg.MaxCachedScopes)
 	}
 	scope, prev := cfg.Cache.acquire(d, scores, cfg.Measure)
 	e := &engine{

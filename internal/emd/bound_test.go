@@ -30,37 +30,6 @@ func TestHist1DLowerBoundProperty(t *testing.T) {
 	}
 }
 
-// Ground.LowerBound must lower-bound Hat on the linear 1-D ground and
-// refuse every other ground.
-func TestGroundLowerBound(t *testing.T) {
-	g := stats.NewRNG(404)
-	lin := Linear1D(8, 0.125)
-	for trial := 0; trial < 500; trial++ {
-		p := randDist(g, 8)
-		q := randDist(g, 8)
-		exact, err := lin.Hat(p, q, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lb, ok := lin.LowerBound(p, q)
-		if !ok {
-			t.Fatal("linear ground reported no lower bound")
-		}
-		if lb-BoundMargin(lb) > exact {
-			t.Fatalf("trial %d: bound %.17g exceeds Hat %.17g", trial, lb, exact)
-		}
-	}
-	// A genuinely thresholded ground truncates the linear cost, so the
-	// mean bound no longer holds and must not be offered.
-	thr := Thresholded1D(8, 0.125, 0.25)
-	if _, ok := thr.LowerBound(randDist(g, 8), randDist(g, 8)); ok {
-		t.Error("thresholded ground offered a lower bound")
-	}
-	if _, ok := lin.LowerBound(randDist(g, 4), randDist(g, 8)); ok {
-		t.Error("dimension mismatch offered a lower bound")
-	}
-}
-
 // BoundMargin must scale with the value and never vanish.
 func TestBoundMargin(t *testing.T) {
 	if m := BoundMargin(0); m <= 0 {

@@ -10,9 +10,16 @@
 //     the bin width).
 //   - Transport: an exact solver for the general transportation
 //     problem with an arbitrary ground-distance matrix, used to
-//     validate Hist1D and to support non-linear ground distances.
-//   - Hat: the thresholded ÊMD of Pele & Werman, which truncates the
-//     ground distance at a threshold and penalizes mass mismatch.
+//     validate the 1-D solvers and to support non-linear ground
+//     distances.
+//   - Thresholded1D: the thresholded ÊMD of Pele & Werman for 1-D
+//     histograms, whose ground distance min(|i-j|·w, t) truncates far
+//     moves at t. That ground is the shortest-path metric of the path
+//     graph over the bins (edge cost w) plus one hub joined to every
+//     bin at cost t/2, so the transport problem is a flow on O(bins)
+//     edges, solved exactly by an O(bins²) dynamic program over the
+//     flow each prefix of bins sends into the hub — no cost matrix, no
+//     flow network.
 //
 // All functions treat histograms as plain mass vectors; callers
 // normalize if they want distribution (unit-mass) semantics.
@@ -21,6 +28,7 @@ package emd
 import (
 	"fmt"
 	"math"
+	"sort"
 )
 
 // massTol is the tolerance used when comparing total masses.
@@ -34,25 +42,8 @@ const massTol = 1e-9
 // For 1-D histograms the optimal transport never crosses itself, so
 // the distance is binWidth * Σ_i |CDF_p(i) - CDF_q(i)|.
 func Hist1D(p, q []float64, binWidth float64) (float64, error) {
-	if len(p) != len(q) {
-		return 0, fmt.Errorf("emd: length mismatch %d vs %d", len(p), len(q))
-	}
-	if len(p) == 0 {
-		return 0, fmt.Errorf("emd: empty histograms")
-	}
-	if binWidth <= 0 || math.IsNaN(binWidth) || math.IsInf(binWidth, 0) {
-		return 0, fmt.Errorf("emd: invalid bin width %g", binWidth)
-	}
-	var totP, totQ float64
-	for i := range p {
-		if p[i] < 0 || q[i] < 0 || math.IsNaN(p[i]) || math.IsNaN(q[i]) {
-			return 0, fmt.Errorf("emd: negative or NaN mass at bin %d (%g, %g)", i, p[i], q[i])
-		}
-		totP += p[i]
-		totQ += q[i]
-	}
-	if math.Abs(totP-totQ) > massTol*math.Max(1, math.Max(totP, totQ)) {
-		return 0, fmt.Errorf("emd: total mass mismatch %g vs %g; normalize first", totP, totQ)
+	if err := check1D(p, q, binWidth); err != nil {
+		return 0, err
 	}
 	var cum, dist float64
 	for i := range p {
@@ -60,6 +51,99 @@ func Hist1D(p, q []float64, binWidth float64) (float64, error) {
 		dist += math.Abs(cum)
 	}
 	return dist * binWidth, nil
+}
+
+// Thresholded1D returns the exact Earth Mover's Distance between two
+// equal-mass 1-D histograms under the thresholded ground distance
+// min(|i-j|·binWidth, t) of Pele & Werman; with equal masses this is
+// their ÊMD. The inputs are validated like Hist1D's; t must be
+// positive (+Inf gives Hist1D's distance).
+//
+// The ground is the shortest-path metric of the path graph over the
+// bins (edge cost w = binWidth) plus a hub joined to every bin at cost
+// t/2. Let C_i = Σ_{k≤i} (p_k − q_k) and let H_i be the net mass bins
+// 0..i send into the hub (H_{-1} = H_{n-1} = 0). Path edge (i, i+1)
+// then carries C_i − H_i, and the distance is
+//
+//	min over H of  Σ_{i<n-1} w·|C_i − H_i|  +  (t/2)·Σ_{i<n} |H_i − H_{i-1}|,
+//
+// an L1 fit with a total-variation penalty. Some optimum is a vertex
+// of this LP, so each H_i can be drawn from V = {0} ∪ {C_i}; a dynamic
+// program over the sorted V, with a slope-t/2 L1 distance transform
+// between steps, solves it in O(n²) time and O(n) memory. t is first
+// clamped to the grid diameter (n−1)·w, above which it cannot bind.
+func Thresholded1D(p, q []float64, binWidth, t float64) (float64, error) {
+	if err := check1D(p, q, binWidth); err != nil {
+		return 0, err
+	}
+	if !(t > 0) {
+		return 0, fmt.Errorf("emd: invalid threshold %g", t)
+	}
+	n := len(p)
+	half := math.Min(t, float64(n-1)*binWidth) / 2
+	buf := make([]float64, 3*n-1)
+	c, v, f := buf[:n-1], buf[n-1:2*n-1], buf[2*n-1:]
+	cum := 0.0
+	for i := range c {
+		cum += p[i] - q[i]
+		c[i] = cum
+	}
+	copy(v, c) // v[n-1] stays 0
+	sort.Float64s(v)
+	for j, x := range v {
+		f[j] = half * math.Abs(x) // bin 0's hub edge carries H_0 − H_{-1} = x
+	}
+	for i, ci := range c {
+		if i > 0 { // f(x) ← min_y f(y) + (t/2)·|x − y|: bin i's hub edge
+			for j := 1; j < n; j++ {
+				if g := f[j-1] + half*(v[j]-v[j-1]); g < f[j] {
+					f[j] = g
+				}
+			}
+			for j := n - 2; j >= 0; j-- {
+				if g := f[j+1] + half*(v[j+1]-v[j]); g < f[j] {
+					f[j] = g
+				}
+			}
+		}
+		for j, x := range v {
+			f[j] += binWidth * math.Abs(ci-x)
+		}
+	}
+	best := math.Inf(1)
+	for j, x := range v { // bin n−1's hub edge returns H_{n-2} to 0
+		if g := f[j] + half*math.Abs(x); g < best {
+			best = g
+		}
+	}
+	return best, nil
+}
+
+// check1D validates a pair of 1-D histograms for Hist1D and
+// Thresholded1D: equal non-zero lengths, finite non-negative masses
+// with equal totals, and a finite positive bin width.
+func check1D(p, q []float64, binWidth float64) error {
+	if len(p) != len(q) {
+		return fmt.Errorf("emd: length mismatch %d vs %d", len(p), len(q))
+	}
+	if len(p) == 0 {
+		return fmt.Errorf("emd: empty histograms")
+	}
+	if binWidth <= 0 || math.IsNaN(binWidth) || math.IsInf(binWidth, 0) {
+		return fmt.Errorf("emd: invalid bin width %g", binWidth)
+	}
+	totP, err := validateMass("p", p)
+	if err != nil {
+		return err
+	}
+	totQ, err := validateMass("q", q)
+	if err != nil {
+		return err
+	}
+	if math.Abs(totP-totQ) > massTol*math.Max(1, math.Max(totP, totQ)) {
+		return fmt.Errorf("emd: total mass mismatch %g vs %g; normalize first", totP, totQ)
+	}
+	return nil
 }
 
 // MeanIndex returns the mass-weighted mean bin index of a histogram,
@@ -100,18 +184,6 @@ func Hist1DLowerBound(meanP, meanQ, binWidth float64) float64 {
 // meaningfully separated.
 func BoundMargin(v float64) float64 {
 	return 1e-12 + 1e-9*math.Abs(v)
-}
-
-// LowerBound returns a cheap lower bound on Ground.Hat's transport
-// work between unit-mass histograms, and whether the ground supports
-// one. Only the linear 1-D ground (cost[i][j] = |i-j|·w, the ground
-// Linear1D builds and detectLinear1D identifies) has a closed-form
-// bound: the mean-index distance of Hist1DLowerBound.
-func (g *Ground) LowerBound(p, q []float64) (float64, bool) {
-	if g.linearW <= 0 || len(p) != g.n || len(q) != g.m {
-		return 0, false
-	}
-	return Hist1DLowerBound(MeanIndex(p), MeanIndex(q), g.linearW), true
 }
 
 // GroundDistance1D returns the n×n ground-distance matrix for a 1-D
@@ -185,7 +257,7 @@ func validateCost(cost [][]float64, np, nq int) error {
 // unit histograms this equals the raw transport cost. It returns an
 // error if either vector has zero mass.
 func EMD(p, q []float64, cost [][]float64) (float64, error) {
-	work, flow, _, err := minWork(p, q, cost)
+	work, flow, err := minWork(p, q, cost)
 	if err != nil {
 		return 0, err
 	}
@@ -193,160 +265,6 @@ func EMD(p, q []float64, cost [][]float64) (float64, error) {
 		return 0, fmt.Errorf("emd: zero transported mass")
 	}
 	return work / flow, nil
-}
-
-// Hat returns the ÊMD_α of Pele & Werman: the minimum transport work
-// moving min(Σp, Σq) mass, plus α · maxCost · |Σp − Σq| as a penalty
-// for unmatched mass. With α=1 and a thresholded ground distance this
-// is the metric the FastEMD paper recommends for histogram comparison.
-//
-// Hat revalidates and rescans the cost matrix on every call; callers
-// that evaluate many pairs under one ground distance should build a
-// Ground once and use Ground.Hat.
-func Hat(p, q []float64, cost [][]float64, alpha float64) (float64, error) {
-	g, err := NewGround(cost)
-	if err != nil {
-		return 0, err
-	}
-	return g.Hat(p, q, alpha)
-}
-
-// Ground is a validated ground-distance matrix with the metadata the
-// solvers need — the maximum entry (the ÊMD mass-mismatch scale) and
-// linear-1-D structure detection — hoisted out of the per-call path,
-// so evaluating many histogram pairs under one ground distance stops
-// rescanning O(n·m) entries per pair.
-type Ground struct {
-	cost [][]float64
-	n, m int
-	max  float64
-	// linearW > 0 marks cost[i][j] == |i-j|·linearW exactly (a square,
-	// unthresholded 1-D ground distance), enabling the closed-form CDF
-	// fast path for equal-mass inputs.
-	linearW float64
-}
-
-// NewGround validates cost (rectangular, finite, non-negative) and
-// precomputes its solver metadata.
-func NewGround(cost [][]float64) (*Ground, error) {
-	n := len(cost)
-	if n == 0 {
-		return nil, fmt.Errorf("emd: empty ground distance")
-	}
-	m := len(cost[0])
-	if err := validateCost(cost, n, m); err != nil {
-		return nil, err
-	}
-	g := &Ground{cost: cost, n: n, m: m}
-	for _, row := range cost {
-		for _, c := range row {
-			if c > g.max {
-				g.max = c
-			}
-		}
-	}
-	g.linearW = detectLinear1D(cost)
-	return g, nil
-}
-
-// Linear1D returns the Ground for the n-bin 1-D histogram distance
-// |i-j|·binWidth, with metadata filled in by construction.
-func Linear1D(n int, binWidth float64) *Ground {
-	return &Ground{
-		cost:    GroundDistance1D(n, binWidth),
-		n:       n,
-		m:       n,
-		max:     float64(n-1) * binWidth,
-		linearW: binWidth,
-	}
-}
-
-// Thresholded1D returns the Ground for the thresholded 1-D distance
-// min(|i-j|·binWidth, t) of Pele & Werman. When the threshold does not
-// bind (t ≥ diameter) the ground is plain linear and keeps the
-// closed-form fast path.
-func Thresholded1D(n int, binWidth, t float64) *Ground {
-	diameter := float64(n-1) * binWidth
-	if t >= diameter {
-		return Linear1D(n, binWidth)
-	}
-	return &Ground{
-		cost: Threshold(GroundDistance1D(n, binWidth), t),
-		n:    n,
-		m:    n,
-		max:  math.Max(t, 0),
-	}
-}
-
-// detectLinear1D reports the bin width w when cost is exactly the
-// square 1-D matrix |i-j|·w with w > 0, and 0 otherwise.
-func detectLinear1D(cost [][]float64) float64 {
-	n := len(cost)
-	if n < 2 || len(cost[0]) != n {
-		return 0
-	}
-	w := cost[0][1]
-	if w <= 0 {
-		return 0
-	}
-	for i, row := range cost {
-		if len(row) != n {
-			return 0
-		}
-		for j, c := range row {
-			if c != math.Abs(float64(i-j))*w {
-				return 0
-			}
-		}
-	}
-	return w
-}
-
-// Hat returns the ÊMD_α of Pele & Werman under this ground distance
-// (see Hat). The maximum-cost scan and matrix validation happened at
-// construction; for a linear 1-D ground with (near-)equal masses the
-// transport work reduces to the closed-form CDF distance and no flow
-// network is built at all.
-func (g *Ground) Hat(p, q []float64, alpha float64) (float64, error) {
-	if alpha < 0 || math.IsNaN(alpha) {
-		return 0, fmt.Errorf("emd: invalid alpha %g", alpha)
-	}
-	if len(p) != g.n || len(q) != g.m {
-		return 0, fmt.Errorf("emd: histograms %dx%d do not match %dx%d ground distance", len(p), len(q), g.n, g.m)
-	}
-	totP, err := validateMass("p", p)
-	if err != nil {
-		return 0, err
-	}
-	totQ, err := validateMass("q", q)
-	if err != nil {
-		return 0, err
-	}
-	if totP <= 0 || totQ <= 0 {
-		return 0, fmt.Errorf("emd: zero-mass histogram (%g, %g)", totP, totQ)
-	}
-	work, err := g.minWork(p, q, totP, totQ)
-	if err != nil {
-		return 0, err
-	}
-	return work + alpha*g.max*math.Abs(totP-totQ), nil
-}
-
-// minWork computes the minimum work moving min(Σp, Σq) mass under g,
-// taking the closed form when the ground is linear 1-D and the masses
-// balance.
-func (g *Ground) minWork(p, q []float64, totP, totQ float64) (float64, error) {
-	if g.linearW > 0 && math.Abs(totP-totQ) <= massTol*math.Max(1, math.Max(totP, totQ)) {
-		var cum, dist float64
-		for i := range p {
-			cum += p[i] - q[i]
-			dist += math.Abs(cum)
-		}
-		return dist * g.linearW, nil
-	}
-	solver := newSSP(p, q, g.cost)
-	work, _, err := solver.run()
-	return work, err
 }
 
 // Transport solves the balanced transportation problem exactly:
@@ -370,25 +288,24 @@ func Transport(supply, demand []float64, cost [][]float64) (float64, []Flow, err
 }
 
 // minWork computes the minimum work to move min(Σp, Σq) mass from p to
-// q. It returns the work, the moved mass, and the two totals.
-func minWork(p, q []float64, cost [][]float64) (work, moved float64, totals [2]float64, err error) {
+// q. It returns the work and the moved mass.
+func minWork(p, q []float64, cost [][]float64) (work, moved float64, err error) {
 	totP, err := validateMass("p", p)
 	if err != nil {
-		return 0, 0, totals, err
+		return 0, 0, err
 	}
 	totQ, err := validateMass("q", q)
 	if err != nil {
-		return 0, 0, totals, err
+		return 0, 0, err
 	}
-	totals = [2]float64{totP, totQ}
 	if totP <= 0 || totQ <= 0 {
-		return 0, 0, totals, fmt.Errorf("emd: zero-mass histogram (%g, %g)", totP, totQ)
+		return 0, 0, fmt.Errorf("emd: zero-mass histogram (%g, %g)", totP, totQ)
 	}
 	w, _, err := minWorkValidated(p, q, cost)
 	if err != nil {
-		return 0, 0, totals, err
+		return 0, 0, err
 	}
-	return w, math.Min(totP, totQ), totals, nil
+	return w, math.Min(totP, totQ), nil
 }
 
 // minWorkValidated runs successive shortest paths on the bipartite

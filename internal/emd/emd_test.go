@@ -190,43 +190,6 @@ func TestEMDZeroMass(t *testing.T) {
 	}
 }
 
-func TestHatEqualMassEqualsEMDWork(t *testing.T) {
-	p := []float64{0.5, 0.5}
-	q := []float64{0, 1}
-	cost := GroundDistance1D(2, 1)
-	hat, err := Hat(p, q, cost, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := EMD(p, q, cost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(hat, plain, 1e-9) {
-		t.Errorf("equal-mass Hat=%g, EMD=%g", hat, plain)
-	}
-}
-
-func TestHatPenalizesMassMismatch(t *testing.T) {
-	p := []float64{1, 0}
-	q := []float64{0.5, 0} // half the mass, same location
-	cost := GroundDistance1D(2, 1)
-	hat, err := Hat(p, q, cost, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Work is 0 (mass already in place); penalty = 1 * maxCost(1) * 0.5.
-	if !almostEqual(hat, 0.5, 1e-9) {
-		t.Errorf("Hat = %g, want 0.5", hat)
-	}
-}
-
-func TestHatInvalidAlpha(t *testing.T) {
-	if _, err := Hat([]float64{1}, []float64{1}, [][]float64{{0}}, -1); err == nil {
-		t.Error("negative alpha should error")
-	}
-}
-
 func TestThreshold(t *testing.T) {
 	cost := GroundDistance1D(4, 1)
 	th := Threshold(cost, 2)

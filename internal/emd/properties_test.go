@@ -63,25 +63,6 @@ func TestThresholdMonotoneQuick(t *testing.T) {
 	}
 }
 
-// Hat with alpha=0 equals the pure transport work for equal masses,
-// and grows with alpha when masses differ.
-func TestHatAlphaMonotone(t *testing.T) {
-	p := []float64{1, 0, 0}
-	q := []float64{0.25, 0.25, 0} // less total mass
-	ground := GroundDistance1D(3, 1)
-	prev := -1.0
-	for _, alpha := range []float64{0, 0.5, 1, 2} {
-		v, err := Hat(p, q, ground, alpha)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v < prev {
-			t.Errorf("Hat decreased with alpha: %g after %g", v, prev)
-		}
-		prev = v
-	}
-}
-
 // Transport on a 1-supplier problem ships everything from it.
 func TestTransportSingleSupplier(t *testing.T) {
 	cost, flows, err := Transport([]float64{3}, []float64{1, 2}, [][]float64{{2, 5}})
@@ -156,23 +137,16 @@ func TestEMDSymmetryQuick(t *testing.T) {
 	}
 }
 
-// Hat is positively homogeneous: scaling both masses by α scales
-// ÊMD_α by α (transport work is linear in mass, and so is the
-// |Σp−Σq| mismatch penalty). Exercised over unequal-mass inputs where
-// the penalty term is active.
+// ÊMD is positively homogeneous: scaling both masses by c scales
+// Thresholded1D by c (transport work is linear in mass).
 func TestHatScaleInvarianceQuick(t *testing.T) {
 	g := stats.NewRNG(7006)
-	f := func(nn, aa uint8) bool {
+	f := func(nn, tt uint8) bool {
 		n := int(nn%8) + 2
 		p := randDist(g, n)
 		q := randDist(g, n)
-		// Deflate q so the mass-mismatch penalty participates.
-		for i := range q {
-			q[i] *= 0.5
-		}
-		alpha := float64(aa%4) * 0.5
-		ground := GroundDistance1D(n, 0.1)
-		base, err := Hat(p, q, ground, alpha)
+		threshold := 0.05 + float64(tt%10)*0.05
+		base, err := Thresholded1D(p, q, 0.1, threshold)
 		if err != nil {
 			return false
 		}
@@ -183,7 +157,7 @@ func TestHatScaleInvarianceQuick(t *testing.T) {
 			ps[i] = scale * p[i]
 			qs[i] = scale * q[i]
 		}
-		scaled, err := Hat(ps, qs, ground, alpha)
+		scaled, err := Thresholded1D(ps, qs, 0.1, threshold)
 		if err != nil {
 			return false
 		}

@@ -13,7 +13,6 @@ package fairness
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/emd"
 	"repro/internal/histogram"
@@ -47,42 +46,21 @@ func (EMD1D) Between(a, b histogram.Hist) (float64, error) {
 }
 
 // EMDThresholded is the ÊMD of Pele & Werman [8] with ground distance
-// min(|i-j|·w, Threshold). Alpha weights the mass-mismatch penalty;
-// for normalized histograms masses match and Alpha is inert.
+// min(|i-j|·w, Threshold), solved exactly by emd.Thresholded1D.
+// Threshold must be positive; +Inf gives EMD1D's distance.
 type EMDThresholded struct {
 	Threshold float64
-	Alpha     float64
 }
 
 // Name implements Distance.
 func (d EMDThresholded) Name() string { return fmt.Sprintf("emd-hat(t=%g)", d.Threshold) }
-
-// thresholdedGrounds caches prebuilt thresholded ground distances per
-// (bins, bin width, threshold) so repeated Between calls skip both the
-// O(bins²) matrix construction and emd.Hat's metadata scans. The
-// cardinality is the number of distinct histogram shapes a process
-// quantifies with — a handful in practice — so the cache is unbounded.
-var thresholdedGrounds sync.Map // groundKey -> *emd.Ground
-
-type groundKey struct {
-	bins int
-	w, t float64
-}
 
 // Between implements Distance.
 func (d EMDThresholded) Between(a, b histogram.Hist) (float64, error) {
 	if err := histogram.Compatible(a, b); err != nil {
 		return 0, err
 	}
-	if d.Threshold <= 0 {
-		return 0, fmt.Errorf("fairness: EMDThresholded needs positive threshold, got %g", d.Threshold)
-	}
-	key := groundKey{bins: a.Bins(), w: a.BinWidth(), t: d.Threshold}
-	g, ok := thresholdedGrounds.Load(key)
-	if !ok {
-		g, _ = thresholdedGrounds.LoadOrStore(key, emd.Thresholded1D(key.bins, key.w, key.t))
-	}
-	return g.(*emd.Ground).Hat(a.Counts, b.Counts, d.Alpha)
+	return emd.Thresholded1D(a.Counts, b.Counts, a.BinWidth(), d.Threshold)
 }
 
 // KS is the Kolmogorov–Smirnov distance between the histogram CDFs: a
@@ -132,7 +110,7 @@ func DistanceByName(name string) (Distance, error) {
 	case "emd", "":
 		return EMD1D{}, nil
 	case "emd-hat":
-		return EMDThresholded{Threshold: 0.5, Alpha: 1}, nil
+		return EMDThresholded{Threshold: 0.5}, nil
 	case "ks":
 		return KS{}, nil
 	case "tv":

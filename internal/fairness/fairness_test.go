@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/emd"
 	"repro/internal/histogram"
 	"repro/internal/stats"
 )
@@ -48,7 +49,7 @@ func TestEMDThresholded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	th, err := EMDThresholded{Threshold: 0.4, Alpha: 1}.Between(a, b)
+	th, err := EMDThresholded{Threshold: 0.4}.Between(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +59,53 @@ func TestEMDThresholded(t *testing.T) {
 	if math.Abs(th-0.4) > 1e-9 {
 		t.Errorf("thresholded = %g, want 0.4", th)
 	}
-	if _, err := (EMDThresholded{Threshold: 0}).Between(a, b); err == nil {
-		t.Error("zero threshold should error")
+	for _, bad := range []float64{0, -0.5, math.NaN()} {
+		if d, err := (EMDThresholded{Threshold: bad}).Between(a, b); err == nil {
+			t.Errorf("threshold %g: got %g, want an error", bad, d)
+		}
+	}
+	half := histogram.Hist{Lo: 0, Hi: 1, Counts: []float64{0.5, 0, 0, 0, 0}}
+	if d, err := (EMDThresholded{Threshold: 0.4}).Between(a, half); err == nil {
+		t.Errorf("unequal totals: got %g, want an error", d)
+	}
+	inf, err := EMDThresholded{Threshold: math.Inf(1)}.Between(a, b)
+	if err != nil || inf != full {
+		t.Errorf("t=+Inf: got %g, %v; want EMD1D's %g", inf, err, full)
+	}
+}
+
+// EMDThresholded.Between equals the transport optimum under the
+// explicit thresholded ground on random score histograms.
+func TestEMDThresholdedMatchesTransport(t *testing.T) {
+	g := stats.NewRNG(9102)
+	for trial := 0; trial < 1000; trial++ {
+		bins := 2 + g.IntN(30)
+		if trial%100 == 0 {
+			bins = 100
+		}
+		hist := func() histogram.Hist {
+			counts := make([]float64, bins)
+			for i := range counts {
+				if trial%2 == 0 || g.Float64() < 0.5 {
+					counts[i] = float64(g.IntN(20))
+				}
+			}
+			counts[g.IntN(bins)]++
+			return unitHist(t, counts...)
+		}
+		a, b := hist(), hist()
+		th := (1 - g.Float64()) * 1.2
+		got, err := EMDThresholded{Threshold: th}.Between(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := emd.Transport(a.Counts, b.Counts, emd.Threshold(emd.GroundDistance1D(bins, a.BinWidth()), th))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(got-want) > 1e-12 {
+			t.Fatalf("trial %d (bins=%d t=%g): Between %.17g, transport %.17g", trial, bins, th, got, want)
+		}
 	}
 }
 
@@ -320,7 +366,7 @@ func TestUnfairnessBoundedQuick(t *testing.T) {
 // max-aggregated unfairness above the pre-merge value.
 func TestDistanceSymmetryQuick(t *testing.T) {
 	g := stats.NewRNG(616)
-	dists := []Distance{EMD1D{}, KS{}, TotalVariation{}, EMDThresholded{Threshold: 0.5, Alpha: 1}}
+	dists := []Distance{EMD1D{}, KS{}, TotalVariation{}, EMDThresholded{Threshold: 0.5}}
 	f := func(nn uint8) bool {
 		n := int(nn%8) + 2
 		a := histogram.Hist{Lo: 0, Hi: 1, Counts: make([]float64, n)}

@@ -15,8 +15,8 @@ import (
 
 // Options configures one mitigation run of the Evaluate harness.
 type Options struct {
-	// Strategy names the Mitigator: "fair" (default), "fair-legacy",
-	// "detgreedy", "detcons", "exposure" or "exposure-lp".
+	// Strategy names the Mitigator: "fair" (default), "detgreedy",
+	// "detcons", "exposure" or "exposure-lp".
 	Strategy string
 	// K is the top-k prefix the constraints (and the before/after
 	// parity gap) apply to. 0 selects min(10, n); negative is an
@@ -27,8 +27,7 @@ type Options struct {
 	// every discovered group must be named.
 	Targets map[string]float64
 	// Alpha is the FA*IR family-wise significance level (default
-	// 0.1), split across groups and exactly adjusted per group
-	// (Bonferroni-divided under "fair-legacy").
+	// 0.1), split across groups and exactly adjusted per group.
 	Alpha float64
 	// MinExposureRatio is the exposure floor of the "exposure" and
 	// "exposure-lp" strategies (default 0.95).

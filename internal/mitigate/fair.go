@@ -19,29 +19,17 @@ import (
 // per-test level αc is binary-searched so the exact joint probability
 // that a fair process fails any of the k prefix tests — computed by DP
 // over the table's block structure — matches the group's share of
-// Alpha as closely as the discrete table space allows. Legacy selects
-// the previous Bonferroni stand-in (Alpha/(k·|groups|) per test),
-// whose tables are so conservative they stay at zero on mildly biased
-// data; it is kept, as the "fair-legacy" strategy, for comparison.
+// Alpha as closely as the discrete table space allows.
 //
 // Within the constraints the ranking is utility-greedy: each position
 // takes the best-scoring remaining candidate unless awarding it would
 // make some future minimum unsatisfiable, in which case the slot goes
 // to the most urgent constrained group (see forcedPick). Positions
 // beyond k are filled purely by score.
-type FAIR struct {
-	// Legacy selects the Bonferroni Alpha/(k·|groups|) stand-in
-	// adjustment instead of the exact joint-failure tables.
-	Legacy bool
-}
+type FAIR struct{}
 
 // Name implements Mitigator.
-func (f FAIR) Name() string {
-	if f.Legacy {
-		return "fair-legacy"
-	}
-	return "fair"
-}
+func (FAIR) Name() string { return "fair" }
 
 // Rerank implements Mitigator.
 func (f FAIR) Rerank(in Input) ([]int, error) {
@@ -66,21 +54,14 @@ func (f FAIR) Rerank(in Input) ([]int, error) {
 	// be satisfied by any permutation.
 	tables := make([][]int, len(in.Groups))
 	for g := range in.Groups {
-		var level float64 // the per-test significance the table is built at
-		if f.Legacy {
-			level = bonferroniLevel(in.K, len(in.Groups), alpha)
-			tables[g] = binomMinTable(in.K, targets[g], level)
-		} else {
-			mt := exactMTable(in.K, targets[g], alpha/float64(len(in.Groups)))
-			level = mt.AlphaC
-			tables[g] = mt.Min
-		}
+		mt := exactMTable(in.K, targets[g], alpha/float64(len(in.Groups)))
+		tables[g] = mt.Min
 		if need := tables[g][in.K]; need > len(in.Groups[g]) {
 			return nil, &InfeasibleError{
 				Strategy: f.Name(),
 				Group:    g,
 				Detail: fmt.Sprintf("minimum representation %d at k=%d exceeds group size %d (target %.3f, adjusted alpha %.2g)",
-					need, in.K, len(in.Groups[g]), targets[g], level),
+					need, in.K, len(in.Groups[g]), targets[g], mt.AlphaC),
 			}
 		}
 	}

@@ -18,9 +18,6 @@
 //     tests (a DP over the table's block structure, see mtable.go)
 //     matches the group's share of Alpha. Tables are memoized per
 //     (k, p, α) so batch audits never recompute them;
-//   - "fair-legacy": the same re-ranking under the previous Bonferroni
-//     stand-in (Alpha/(k·|groups|) per test) — deliberately
-//     over-conservative tables, kept for comparison;
 //   - "detgreedy" / "detcons": deterministic constrained interleaving
 //     in the style of Geyik et al. (KDD 2019) — per-group floor/ceiling
 //     targets derived from population shares (or supplied by the
@@ -71,8 +68,7 @@ type Input struct {
 	// Alpha is the FA*IR family-wise significance level (default
 	// 0.1): the probability budget for a fair process failing any of
 	// the k prefix tests, split across the tested groups and exactly
-	// adjusted per group ("fair"), or Bonferroni-divided across all
-	// k·|groups| tests ("fair-legacy").
+	// adjusted per group.
 	Alpha float64
 	// MinExposureRatio is the exposure floor of the "exposure" and
 	// "exposure-lp" strategies, in (0, 1] (default 0.95). "exposure"
@@ -148,7 +144,7 @@ func (e *InfeasibleError) Unwrap() error { return ErrInfeasible }
 // report legends — derives from this list, so registering a strategy
 // here (plus ByName and Describe) propagates it everywhere.
 func Strategies() []string {
-	return []string{"detcons", "detgreedy", "exposure", "exposure-lp", "fair", "fair-legacy"}
+	return []string{"detcons", "detgreedy", "exposure", "exposure-lp", "fair"}
 }
 
 // Describe returns the one-line description of a registered strategy,
@@ -158,8 +154,6 @@ func Describe(name string) string {
 	switch name {
 	case "fair":
 		return "FA*IR top-k re-ranking with exact model-adjusted binomial tables (Zehlike et al.)"
-	case "fair-legacy":
-		return "FA*IR under the conservative Bonferroni significance stand-in (kept for comparison)"
 	case "detgreedy":
 		return "greedy constrained interleaving toward per-group targets (Geyik et al.)"
 	case "detcons":
@@ -179,8 +173,6 @@ func ByName(name string) (Mitigator, error) {
 	switch name {
 	case "fair", "":
 		return FAIR{}, nil
-	case "fair-legacy":
-		return FAIR{Legacy: true}, nil
 	case "detgreedy":
 		return Interleave{}, nil
 	case "detcons":

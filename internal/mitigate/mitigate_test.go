@@ -246,10 +246,10 @@ func TestInterleaveThreeGroupCollision(t *testing.T) {
 func TestInfeasibleTargetsTyped(t *testing.T) {
 	in := twoGroups(48, 2) // group B has 2 members
 	in.Targets = []float64{0.2, 0.8}
-	for _, name := range []string{"fair", "fair-legacy", "detgreedy", "detcons"} {
+	for _, name := range []string{"fair", "detgreedy", "detcons"} {
 		m, _ := ByName(name)
 		in := in
-		if name == "fair" || name == "fair-legacy" {
+		if name == "fair" {
 			in.Alpha = 0.5 // make the tables demand more than 2 members
 		}
 		_, err := m.Rerank(in)

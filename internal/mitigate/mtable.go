@@ -3,8 +3,8 @@ package mitigate
 import "sync"
 
 // This file is the FA*IR model-adjustment subsystem: the exact
-// multiple-test correction of Zehlike et al. (CIKM 2017) that replaces
-// the Bonferroni stand-in the mitigator shipped with.
+// multiple-test correction of Zehlike et al. (CIKM 2017), which
+// dominates the Bonferroni split α/(k·groups) the mitigator once used.
 //
 // FA*IR tests every prefix 1..k of a ranking against a binomial
 // minimum-representation table, so a fair Bernoulli(p) process faces k
@@ -180,10 +180,4 @@ func exactMTable(k int, p, alpha float64) *mTable {
 	mtableCache.m[key] = mt
 	mtableCache.Unlock()
 	return mt
-}
-
-// bonferroniLevel is the legacy stand-in adjustment: the family-wise
-// alpha split uniformly across all k·groups prefix tests.
-func bonferroniLevel(k, groups int, alpha float64) float64 {
-	return alpha / (float64(k) * float64(groups))
 }

@@ -136,8 +136,9 @@ func TestJointFailureProbDegenerate(t *testing.T) {
 // adjustment: for every (k, p, α) combination, αc lands in (0, α], the
 // joint failure probability stays within α, the exact table binds at
 // least as often as the Bonferroni table at the same family level
-// (pointwise ⊒), each table is nondecreasing with steps of at most one,
-// and the tables are monotone in α and (on this grid) in p.
+// (pointwise ⊒, for one group and for α split over three), each table
+// is nondecreasing with steps of at most one, and the tables are
+// monotone in α and (on this grid) in p.
 func TestExactAdjustmentSweep(t *testing.T) {
 	ks := []int{5, 10, 25, 100}
 	ps := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
@@ -153,12 +154,10 @@ func TestExactAdjustmentSweep(t *testing.T) {
 				if mt.FailProb > alpha {
 					t.Fatalf("k=%d p=%g α=%g: joint failure %g exceeds α", k, p, alpha, mt.FailProb)
 				}
-				bonf := binomMinTable(k, p, alpha/float64(k))
+				for _, groups := range []int{1, 3} {
+					checkDominatesBonferroni(t, k, p, alpha, groups)
+				}
 				for i := range mt.Min {
-					if mt.Min[i] < bonf[i] {
-						t.Fatalf("k=%d p=%g α=%g: exact table %d at t=%d below Bonferroni %d",
-							k, p, alpha, mt.Min[i], i, bonf[i])
-					}
 					if i > 0 {
 						if step := mt.Min[i] - mt.Min[i-1]; step < 0 || step > 1 {
 							t.Fatalf("k=%d p=%g α=%g: table step %d at t=%d", k, p, alpha, step, i)
@@ -190,6 +189,24 @@ func TestExactAdjustmentSweep(t *testing.T) {
 	}
 }
 
+// checkDominatesBonferroni asserts that the exact table for one of G
+// groups sharing the family budget α is pointwise at least the oracle
+// it must dominate, FA*IR's binomial table at the Bonferroni level
+// α/(k·G) (the budget split uniformly across all k prefix tests of G
+// groups), and returns that Bonferroni table.
+func checkDominatesBonferroni(t *testing.T, k int, p, alpha float64, groups int) []int {
+	t.Helper()
+	exact := exactMTable(k, p, alpha/float64(groups)).Min
+	bonf := binomMinTable(k, p, alpha/(float64(k)*float64(groups)))
+	for i := range exact {
+		if exact[i] < bonf[i] {
+			t.Fatalf("k=%d p=%g α=%g G=%d: exact table %d at t=%d below Bonferroni %d",
+				k, p, alpha, groups, exact[i], i, bonf[i])
+		}
+	}
+	return bonf
+}
+
 // biasedPopulation is the acceptance scenario: a 30% protected group
 // scored 0.1 lower on average than the 70% majority, scores
 // interleaving at a 0.007 pitch so the first protected member ranks
@@ -213,12 +230,21 @@ func biasedPopulation() Input {
 }
 
 // TestExactBindsWhereBonferroniDoesNot pins the acceptance criterion:
-// on the mildly biased population the Bonferroni stand-in forces no
-// swap at all (its tables are satisfied by the biased ranking as-is),
-// while the exact tables force protected members up into the prefix.
+// on the mildly biased population a FA*IR merge under the Bonferroni
+// tables forces no swap at all (they are satisfied by the biased
+// ranking as-is), while the exact tables, which dominate them, force
+// protected members up into the prefix.
 func TestExactBindsWhereBonferroniDoesNot(t *testing.T) {
 	in := biasedPopulation()
-	legacy, err := FAIR{Legacy: true}.Rerank(in)
+	targets, err := in.targets("fair", len(in.Scores))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := make([][]int, len(in.Groups))
+	for g := range in.Groups {
+		tables[g] = checkDominatesBonferroni(t, in.K, targets[g], in.Alpha, len(in.Groups))
+	}
+	bonferroni, err := constrainedMerge("fair", in, tables, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,14 +252,14 @@ func TestExactBindsWhereBonferroniDoesNot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkPermutation(t, legacy, len(in.Scores))
+	checkPermutation(t, bonferroni, len(in.Scores))
 	checkPermutation(t, exact, len(in.Scores))
-	for i, r := range legacy {
+	for i, r := range bonferroni {
 		if r != scoreOrder(in.Scores)[i] {
-			t.Fatalf("legacy tables forced a swap at position %d; the stand-in should stay silent here", i+1)
+			t.Fatalf("Bonferroni tables forced a swap at position %d; they should stay silent here", i+1)
 		}
 	}
-	if reflect.DeepEqual(exact, legacy) {
+	if reflect.DeepEqual(exact, bonferroni) {
 		t.Fatal("exact tables forced no swap; the significance adjustment is still under-enforcing")
 	}
 	// The first exact deadline: at least one protected member within

@@ -54,20 +54,13 @@ type serverMetrics struct {
 	waitHeavy *obsv.Histogram
 	latencies map[string]*obsv.Histogram // by route; written only during New
 
-	// Solver counters published after each quantify/mitigate run:
-	// cumulative totals for rates, last-run gauges for "what did the
-	// most recent run cost".
+	// Solver counters published after each quantify/mitigate run,
+	// cumulative so rates stay meaningful under concurrent runs.
 	distanceEvals   *obsv.Counter
 	cachedDistances *obsv.Counter
 	reusedDistances *obsv.Counter
 	prunedPairs     *obsv.Counter
 	splitsEvaluated *obsv.Counter
-	lastDistance    *obsv.Gauge
-	lastCached      *obsv.Gauge
-	lastReused      *obsv.Gauge
-	lastPruned      *obsv.Gauge
-	lastSplits      *obsv.Gauge
-	lastElapsed     *obsv.Gauge
 }
 
 func newServerMetrics(reg *obsv.Registry) *serverMetrics {
@@ -97,12 +90,6 @@ func newServerMetrics(reg *obsv.Registry) *serverMetrics {
 		reusedDistances: reg.Counter("fairank_core_reused_distances_total"),
 		prunedPairs:     reg.Counter("fairank_core_pruned_pairs_total"),
 		splitsEvaluated: reg.Counter("fairank_core_splits_evaluated_total"),
-		lastDistance:    reg.Gauge("fairank_core_last_distance_evals"),
-		lastCached:      reg.Gauge("fairank_core_last_cached_distances"),
-		lastReused:      reg.Gauge("fairank_core_last_reused_distances"),
-		lastPruned:      reg.Gauge("fairank_core_last_pruned_pairs"),
-		lastSplits:      reg.Gauge("fairank_core_last_splits_evaluated"),
-		lastElapsed:     reg.Gauge("fairank_core_last_elapsed_seconds"),
 	}
 }
 
@@ -137,12 +124,6 @@ func (s *Server) publishStats(st core.Stats) {
 	m.reusedDistances.Add(uint64(st.ReusedDistances))
 	m.prunedPairs.Add(uint64(st.PrunedPairs))
 	m.splitsEvaluated.Add(uint64(st.SplitsEvaluated))
-	m.lastDistance.Set(float64(st.DistanceEvals))
-	m.lastCached.Set(float64(st.CachedDistances))
-	m.lastReused.Set(float64(st.ReusedDistances))
-	m.lastPruned.Set(float64(st.PrunedPairs))
-	m.lastSplits.Set(float64(st.SplitsEvaluated))
-	m.lastElapsed.Set(st.Elapsed.Seconds())
 }
 
 // ridKey carries the per-request ID in the request context; it shows

@@ -99,15 +99,14 @@ func TestMetricsCountServedRequests(t *testing.T) {
 	)
 	// The solver ran, so its counters moved; exact values belong to the
 	// engine's own tests, non-zero is what the pipeline proves.
-	for _, name := range []string{"fairank_core_distance_evals_total ", "fairank_core_last_distance_evals "} {
-		i := strings.Index(text, name)
-		if i < 0 {
-			t.Fatalf("metrics exposition missing %q", name)
-		}
-		line := text[i : i+strings.IndexByte(text[i:], '\n')]
-		if strings.HasSuffix(line, " 0") {
-			t.Errorf("%s still zero after a quantify", strings.TrimSpace(name))
-		}
+	const name = "fairank_core_distance_evals_total "
+	i := strings.Index(text, name)
+	if i < 0 {
+		t.Fatalf("metrics exposition missing %q", name)
+	}
+	line := text[i : i+strings.IndexByte(text[i:], '\n')]
+	if strings.HasSuffix(line, " 0") {
+		t.Errorf("%s still zero after a quantify", strings.TrimSpace(name))
 	}
 }
 

@@ -470,14 +470,13 @@ func requestErrStatus(err error) int {
 // mitigation knobs.
 type mitigateRequest struct {
 	core.PanelRequest
-	// Strategy is "fair" (default), "fair-legacy", "detgreedy",
-	// "detcons" or "exposure".
+	// Strategy is "fair" (default), "detgreedy", "detcons",
+	// "exposure" or "exposure-lp".
 	Strategy string
 	// K is the top-k prefix the constraints apply to (0 = min(10, n)).
 	K int
 	// Alpha is the FA*IR family-wise significance level (default
-	// 0.1), split across groups and exactly adjusted per group
-	// (Bonferroni-divided under "fair-legacy").
+	// 0.1), split across groups and exactly adjusted per group.
 	Alpha float64
 	// MinExposureRatio is the exposure strategy's floor (default 0.95).
 	MinExposureRatio float64
