@@ -36,7 +36,6 @@ func runAudit(args []string, out io.Writer) error {
 	mitigateSeed := fs.Uint64("mitigate-seed", 1, "exposure-lp: sampling seed used for every job (distinct from -seed, which generates the population)")
 	attrs := fs.String("attrs", "", "comma-separated protected attributes to partition on")
 	maxDepth := fs.Int("max-depth", 0, "maximum tree depth (0 = unlimited)")
-	parallel := fs.Int("parallel", 0, "quantify-only mode: worker goroutines (0 = serial)")
 	outPath := fs.String("out", "", "persist the audit as a snapshot file (batch mode only)")
 	diffPath := fs.String("diff", "", "re-audit incrementally against this stored snapshot and print what drifted (batch mode only)")
 	if err := fs.Parse(args); err != nil {
@@ -47,6 +46,9 @@ func runAudit(args []string, out io.Writer) error {
 	}
 	if *topN < 0 {
 		return fmt.Errorf("-top-n must be non-negative, got %d (0 selects the min(5, jobs) default)", *topN)
+	}
+	if *workers < 0 {
+		return fmt.Errorf("-workers must be non-negative, got %d (0 selects all CPUs)", *workers)
 	}
 	m, err := fairank.Preset(*preset, *n, *seed)
 	if err != nil {
@@ -165,13 +167,10 @@ func runAudit(args []string, out io.Writer) error {
 	}
 
 	var audits []fairank.JobAudit
-	switch {
-	case *rankOnly:
+	if *rankOnly {
 		audits, err = fairank.AuditRankOnly(m, cfg)
-	case *parallel != 0:
-		audits, err = fairank.AuditParallel(m, cfg, *parallel)
-	default:
-		audits, err = fairank.Audit(m, cfg)
+	} else {
+		audits, err = fairank.AuditParallel(m, cfg, *workers)
 	}
 	if err != nil {
 		return err

@@ -174,6 +174,17 @@ func TestRunAudit(t *testing.T) {
 	if !strings.Contains(out, "FAIRNESS REPORT") || !strings.Contains(out, "translation") {
 		t.Errorf("audit output:\n%s", out)
 	}
+	// Quantify-only mode reads -workers; the report is identical for
+	// every worker count.
+	for _, w := range []string{"1", "3"} {
+		var wbuf bytes.Buffer
+		if err := runAudit([]string{"-preset", "crowdsourcing", "-n", "200", "-workers", w}, &wbuf); err != nil {
+			t.Fatal(err)
+		}
+		if wbuf.String() != out {
+			t.Errorf("-workers %s changed the report:\n%s", w, wbuf.String())
+		}
+	}
 }
 
 func TestRunAuditRankOnly(t *testing.T) {
@@ -193,6 +204,9 @@ func TestRunAuditErrors(t *testing.T) {
 	}
 	if err := runAudit([]string{"-preset", "fiverr", "-agg", "nope"}, &buf); err == nil {
 		t.Error("unknown aggregator should error")
+	}
+	if err := runAudit([]string{"-preset", "fiverr", "-workers", "-1"}, &buf); err == nil {
+		t.Error("negative -workers should error")
 	}
 }
 

@@ -88,12 +88,6 @@ type Options struct {
 	// baseline applies only when its Params match this run's
 	// ParamsKey; see Report.Reused for how many jobs were skipped.
 	Baseline *Baseline
-	// Cancel, when non-nil, aborts the audit once the channel is
-	// closed: no further jobs are dispatched (in-flight jobs finish),
-	// and the run returns ErrCanceled instead of a report. This is
-	// how a streaming handler stops paying for a client that hung up
-	// mid-audit.
-	Cancel <-chan struct{}
 	// Faults is the test-only fault-injection harness. When non-nil,
 	// every job hits the "audit.job" site before it runs, so tests can
 	// deterministically delay, fail, or cancel-at the Nth job. Nil in
@@ -108,11 +102,10 @@ type Options struct {
 	Obs *obsv.Registry
 }
 
-// ErrCanceled is returned by Run/RunRankings when Options.Cancel
-// closes — or the RunContext/RunRankingsContext context ends — before
-// the audit completes. The context variants return it alongside a
-// partial Report of the jobs that did complete, so callers can
-// persist a resumable snapshot of the work already paid for.
+// ErrCanceled is returned by RunContext/RunRankingsContext when the
+// context ends before the audit completes, alongside a partial Report
+// of the jobs that did complete, so callers can persist a resumable
+// snapshot of the work already paid for.
 var ErrCanceled = errors.New("audit: canceled")
 
 // Ranking is one named ranking to audit — a marketplace job's scores,
@@ -282,13 +275,12 @@ func RunRankings(d *dataset.Dataset, rankings []Ranking, cfg core.Config, opts O
 	return RunRankingsContext(context.Background(), d, rankings, cfg, opts)
 }
 
-// RunRankingsContext is RunRankings bounded by a context. Like the
-// chan-based Options.Cancel, cancellation stops job dispatch; unlike
-// it, the context also reaches into in-flight jobs (their quantify
-// passes abort between memoized computations) and the call returns
-// the completed jobs as a partial Report alongside the ErrCanceled
-// error — input order preserved, rollups computed over the completed
-// subset — so the caller can snapshot it and resume later via
+// RunRankingsContext is RunRankings bounded by a context. Cancellation
+// stops job dispatch and reaches into in-flight jobs (their quantify
+// passes abort between memoized computations); the call returns the
+// completed jobs as a partial Report alongside the ErrCanceled error —
+// input order preserved, rollups computed over the completed subset —
+// so the caller can snapshot it and resume later via
 // Options.Baseline.
 func RunRankingsContext(ctx context.Context, d *dataset.Dataset, rankings []Ranking, cfg core.Config, opts Options) (*Report, error) {
 	start := time.Now()
@@ -401,23 +393,9 @@ func RunRankingsContext(ctx context.Context, d *dataset.Dataset, rankings []Rank
 		}
 		markDone(i)
 	}
-	canceled := func() bool {
-		if ctx.Err() != nil {
-			return true
-		}
-		if opts.Cancel == nil {
-			return false
-		}
-		select {
-		case <-opts.Cancel:
-			return true
-		default:
-			return false
-		}
-	}
 	// cancelReturn builds the partial result: the completed jobs in
 	// input order, rolled up over that subset, plus an error wrapping
-	// ErrCanceled (and the context's cause, when the context did it).
+	// ErrCanceled and the context's cause.
 	cancelReturn := func() (*Report, error) {
 		obs.canceled.Inc()
 		span.Set("canceled", true)
@@ -433,14 +411,11 @@ func RunRankingsContext(ctx context.Context, d *dataset.Dataset, rankings []Rank
 		}
 		rollup(partial, opts.TopN)
 		partial.Elapsed = time.Since(start)
-		if err := ctx.Err(); err != nil {
-			return partial, fmt.Errorf("%w: %w", ErrCanceled, err)
-		}
-		return partial, ErrCanceled
+		return partial, fmt.Errorf("%w: %w", ErrCanceled, ctx.Err())
 	}
 	if workers <= 1 {
 		for i := range rankings {
-			if canceled() {
+			if ctx.Err() != nil {
 				return cancelReturn()
 			}
 			if skip(i) {
@@ -465,7 +440,7 @@ func RunRankingsContext(ctx context.Context, d *dataset.Dataset, rankings []Rank
 		}
 		wasCanceled := false
 		for i := range rankings {
-			if canceled() {
+			if ctx.Err() != nil {
 				wasCanceled = true
 				break
 			}
@@ -477,13 +452,11 @@ func RunRankingsContext(ctx context.Context, d *dataset.Dataset, rankings []Rank
 				continue
 			}
 			// Dispatch, but stop waiting for a free worker if the
-			// caller cancels while every worker is busy. Nil channels
-			// (no Cancel chan, Background context) never fire, so the
+			// caller cancels while every worker is busy. A Background
+			// context's Done channel is nil and never fires, so the
 			// select degrades to a plain send.
 			select {
 			case idx <- i:
-			case <-opts.Cancel:
-				wasCanceled = true
 			case <-ctx.Done():
 				wasCanceled = true
 			}
@@ -502,7 +475,7 @@ func RunRankingsContext(ctx context.Context, d *dataset.Dataset, rankings []Rank
 	// A cancellation that lands after the last dispatch still aborts
 	// in-flight jobs; their context errors are a cancellation, not a
 	// job failure.
-	if canceled() {
+	if ctx.Err() != nil {
 		return cancelReturn()
 	}
 	// First error in input order, independent of completion order.

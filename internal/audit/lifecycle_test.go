@@ -2,9 +2,9 @@ package audit
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -53,34 +53,33 @@ func TestEmitCanonicalOrder(t *testing.T) {
 	}
 }
 
-// A closed Cancel channel aborts the run with ErrCanceled for every
-// worker count; a nil channel changes nothing.
+// A canceled context aborts the run with ErrCanceled for every worker
+// count; a live one changes nothing.
 func TestCancel(t *testing.T) {
 	m := testMarketplace(t, 250)
-	closed := make(chan struct{})
-	close(closed)
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
 	for _, workers := range []int{1, 2, 8} {
-		_, err := Run(m, core.Config{}, Options{Strategy: "detcons", Workers: workers, Cancel: closed})
+		_, err := RunContext(canceled, m, core.Config{}, Options{Strategy: "detcons", Workers: workers})
 		if err == nil || !errorsIsCanceled(err) {
 			t.Errorf("workers=%d: err = %v, want ErrCanceled", workers, err)
 		}
 	}
-	// Mid-run cancellation: close the channel from the first emit.
-	// Sequential on purpose — the dispatch loop must notice the close
-	// before the second job, deterministically.
-	cancel := make(chan struct{})
-	var once sync.Once
-	_, err := Run(m, core.Config{}, Options{
+	// Mid-run cancellation: cancel from the first emit. Sequential on
+	// purpose — the dispatch loop must notice before the second job,
+	// deterministically.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, err := RunContext(ctx, m, core.Config{}, Options{
 		Strategy: "detcons",
 		Workers:  1,
-		Cancel:   cancel,
-		Emit:     func(int, JobReport) { once.Do(func() { close(cancel) }) },
+		Emit:     func(int, JobReport) { cancel() },
 	})
 	if err == nil || !errorsIsCanceled(err) {
 		t.Errorf("mid-run cancel: err = %v, want ErrCanceled", err)
 	}
-	if _, err := Run(m, core.Config{}, Options{Strategy: "detcons", Cancel: nil}); err != nil {
-		t.Errorf("nil Cancel broke the run: %v", err)
+	if _, err := RunContext(context.Background(), m, core.Config{}, Options{Strategy: "detcons"}); err != nil {
+		t.Errorf("a live context broke the run: %v", err)
 	}
 }
 

@@ -36,9 +36,9 @@ import (
 //
 // A Cache is safe for concurrent use by any number of engine runs; a
 // nil *Cache is valid everywhere one is accepted and simply scopes the
-// memoization to the single run. Each entry is computed exactly once
-// (single-flight), which also keeps Stats counters deterministic
-// regardless of worker count.
+// memoization to the single run. Every memo is one generic
+// single-flight memoTable: each entry is computed exactly once, which
+// also keeps Stats counters deterministic regardless of worker count.
 type Cache struct {
 	mu     sync.Mutex
 	scopes map[scopeKey][]*cacheScope
@@ -378,46 +378,102 @@ type distKey struct {
 	a, b partition.Key
 }
 
+// memo is one single-flight memoized value: the first do runs f and
+// every concurrent or later caller blocks on, then shares, its result
+// — value and error alike.
+type memo[V any] struct {
+	once sync.Once
+	// ready is stored after v and err are written, so a reader that
+	// never entered once (a successor scope consulting its
+	// predecessor, see memoTable.done) can use a finished value
+	// without racing the computing goroutine.
+	ready atomic.Bool
+	v     V
+	err   error
+}
+
+// do returns the memoized result, computing it with f on first use.
+func (m *memo[V]) do(f func() (V, error)) (V, error) {
+	m.once.Do(func() {
+		defer m.ready.Store(true)
+		m.v, m.err = f()
+	})
+	return m.v, m.err
+}
+
+// memoTable maps comparable keys to memos. The warm path is a
+// read-locked lookup with no interface boxing, so a hit allocates
+// nothing; the zero value is ready to use.
+type memoTable[K comparable, V any] struct {
+	mu sync.RWMutex
+	m  map[K]*memo[V]
+}
+
+// entry returns the memo for k, creating it on first use.
+func (t *memoTable[K, V]) entry(k K) *memo[V] {
+	t.mu.RLock()
+	e := t.m[k]
+	t.mu.RUnlock()
+	if e != nil {
+		return e
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if e := t.m[k]; e != nil {
+		return e
+	}
+	if t.m == nil {
+		t.m = make(map[K]*memo[V])
+	}
+	e = &memo[V]{}
+	t.m[k] = e
+	return e
+}
+
+// done returns k's value if it finished without error, and never
+// creates an entry or waits — the read a predecessor scope answers
+// from.
+func (t *memoTable[K, V]) done(k K) (V, bool) {
+	t.mu.RLock()
+	e := t.m[k]
+	t.mu.RUnlock()
+	if e == nil || !e.ready.Load() || e.err != nil {
+		var zero V
+		return zero, false
+	}
+	return e.v, true
+}
+
 // dataScope holds the memo tables that depend on the dataset alone —
 // never on scores or measure: the row partitions candidate splits
 // create and the splittable-attribute scans of the recursion. Sharing
 // them across all score scopes is what makes a warm re-quantify after
 // a score edit skip every O(rows) counting sort.
 type dataScope struct {
-	mu       sync.RWMutex
-	children map[splitKey]*childrenEntry
-	attrs    map[attrsKey]*attrsEntry
-	// validated records leaf sets (by leafSetKey) whose partitioning
-	// invariants Tree.Validate already confirmed: identical keys over
-	// one dataset mean identical row sets, so the O(rows) disjointness
-	// and coverage scan never repeats for a known-good partitioning.
-	validated map[string]struct{}
+	children memoTable[splitKey, splitChildren]
+	attrs    memoTable[attrsKey, []string]
+	// validated memoizes Tree.Validate per leaf set (by leafSetKey):
+	// identical keys over one dataset mean identical row sets, so the
+	// O(rows) disjointness and coverage scan runs once per
+	// partitioning.
+	validated memoTable[string, struct{}]
 }
 
-// wasValidated reports whether the leaf set was already validated.
-func (s *dataScope) wasValidated(key string) bool {
-	s.mu.RLock()
-	_, ok := s.validated[key]
-	s.mu.RUnlock()
-	return ok
-}
-
-// markValidated records a leaf set that passed Tree.Validate.
-func (s *dataScope) markValidated(key string) {
-	s.mu.Lock()
-	if s.validated == nil {
-		s.validated = make(map[string]struct{})
-	}
-	s.validated[key] = struct{}{}
-	s.mu.Unlock()
+// splitChildren is the row partition a split creates, memoized so a
+// hit skips the O(rows) counting sort. The children's condition lists
+// carry the first caller's root-to-group path order (parentConds);
+// engine.splitChildren re-labels them when a different path reaches
+// the same canonical group.
+type splitChildren struct {
+	parentConds []partition.Cond
+	children    []partition.Group
 }
 
 // cacheScope holds the memo tables of one (dataset, scores, measure)
-// combination. Tables are plain maps keyed by comparable structs under
-// an RWMutex — the warm path is a read-locked lookup with no interface
-// boxing, so a memo hit allocates nothing. The entries hold sync.Once
-// values, so concurrent workers asking for the same key block on one
-// computation instead of duplicating it (single-flight).
+// combination: group histograms, split scores, pairwise distances and
+// final breakdowns, each a single-flight memoTable, so concurrent
+// workers asking for the same key block on one computation instead of
+// duplicating it.
 type cacheScope struct {
 	scores []float64
 	// lastUsed is the cache's access stamp for LRU eviction, read and
@@ -436,18 +492,26 @@ type cacheScope struct {
 	// past one hop.
 	prev atomic.Pointer[cacheScope]
 
-	// binOnce guards the scope's shared per-row bin index vector, the
+	// bins is the scope's shared per-row bin index vector, the
 	// precomputation that turns every histogram build into a counting
 	// loop.
-	binOnce sync.Once
-	binIdx  *fairness.BinIndexer
-	binErr  error
+	bins memo[*fairness.BinIndexer]
 
-	mu     sync.RWMutex
-	hists  map[partition.Key]*histEntry
-	splits map[splitKey]*splitEntry
-	dists  map[distKey]*distEntry
-	finals map[string]*finalizeEntry
+	hists  memoTable[partition.Key, histogram.Hist]
+	splits memoTable[splitKey, float64]
+	dists  memoTable[distKey, float64]
+	finals memoTable[string, finalBreakdown]
+}
+
+// finalBreakdown is one memoized final breakdown, keyed by the ordered
+// leaf set. dists duplicates the pair distances as a bare vector so an
+// incremental successor can patch only the pairs with a dirty endpoint
+// and re-aggregate.
+type finalBreakdown struct {
+	hists      []histogram.Hist
+	pairs      []fairness.PairBreakdown
+	dists      []float64
+	unfairness float64
 }
 
 // binIndexer returns the scope's per-row bin index vector, computing
@@ -455,225 +519,11 @@ type cacheScope struct {
 // diffs always compare indexers built from the vectors the scopes were
 // keyed by; scores is the fallback for hand-built scopes without one.
 func (s *cacheScope) binIndexer(m fairness.Measure, scores []float64) (*fairness.BinIndexer, error) {
-	s.binOnce.Do(func() {
+	return s.bins.do(func() (*fairness.BinIndexer, error) {
 		src := s.scores
 		if src == nil {
 			src = scores
 		}
-		s.binIdx, s.binErr = m.NewBinIndexer(src)
+		return m.NewBinIndexer(src)
 	})
-	return s.binIdx, s.binErr
-}
-
-type histEntry struct {
-	once sync.Once
-	// ready is set inside the once body after h/err are written, so a
-	// different scope can read a completed entry without racing the
-	// computing goroutine (same-scope readers synchronize via once).
-	ready atomic.Bool
-	h     histogram.Hist
-	err   error
-}
-
-type splitEntry struct {
-	once  sync.Once
-	ready atomic.Bool
-	val   float64
-	err   error
-}
-
-// childrenEntry memoizes the row partition a split creates, so a memo
-// hit skips the O(rows) counting sort. The stored children's condition
-// lists carry the first caller's root-to-group path order; evalSplit
-// re-labels them when a different path reaches the same canonical
-// group.
-type childrenEntry struct {
-	once        sync.Once
-	parentConds []partition.Cond
-	children    []partition.Group
-	err         error
-}
-
-// attrsEntry memoizes one splittable-attribute scan.
-type attrsEntry struct {
-	once sync.Once
-	val  []string
-	err  error
-}
-
-type distEntry struct {
-	once  sync.Once
-	ready atomic.Bool
-	v     float64
-	err   error
-}
-
-// finalizeEntry memoizes one final breakdown, keyed by the ordered
-// leaf set. dists duplicates the pair distances as a bare vector so an
-// incremental successor can patch only the pairs with a dirty
-// endpoint and re-aggregate.
-type finalizeEntry struct {
-	once       sync.Once
-	ready      atomic.Bool
-	hists      []histogram.Hist
-	pairs      []fairness.PairBreakdown
-	dists      []float64
-	unfairness float64
-	err        error
-}
-
-func (s *cacheScope) histEntry(key partition.Key) *histEntry {
-	s.mu.RLock()
-	e := s.hists[key]
-	s.mu.RUnlock()
-	if e != nil {
-		return e
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.hists == nil {
-		s.hists = make(map[partition.Key]*histEntry)
-	}
-	if e := s.hists[key]; e != nil {
-		return e
-	}
-	e = &histEntry{}
-	s.hists[key] = e
-	return e
-}
-
-// lookupHist returns the memoized histogram entry for key without
-// creating one — the read predecessor scopes answer from.
-func (s *cacheScope) lookupHist(key partition.Key) *histEntry {
-	s.mu.RLock()
-	e := s.hists[key]
-	s.mu.RUnlock()
-	return e
-}
-
-func (s *cacheScope) splitEntry(key splitKey) *splitEntry {
-	s.mu.RLock()
-	e := s.splits[key]
-	s.mu.RUnlock()
-	if e != nil {
-		return e
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.splits == nil {
-		s.splits = make(map[splitKey]*splitEntry)
-	}
-	if e := s.splits[key]; e != nil {
-		return e
-	}
-	e = &splitEntry{}
-	s.splits[key] = e
-	return e
-}
-
-// lookupSplit returns the memoized split entry for key without
-// creating one.
-func (s *cacheScope) lookupSplit(key splitKey) *splitEntry {
-	s.mu.RLock()
-	e := s.splits[key]
-	s.mu.RUnlock()
-	return e
-}
-
-func (s *dataScope) childrenEntry(key splitKey) *childrenEntry {
-	s.mu.RLock()
-	e := s.children[key]
-	s.mu.RUnlock()
-	if e != nil {
-		return e
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.children == nil {
-		s.children = make(map[splitKey]*childrenEntry)
-	}
-	if e := s.children[key]; e != nil {
-		return e
-	}
-	e = &childrenEntry{}
-	s.children[key] = e
-	return e
-}
-
-func (s *dataScope) attrsEntry(key attrsKey) *attrsEntry {
-	s.mu.RLock()
-	e := s.attrs[key]
-	s.mu.RUnlock()
-	if e != nil {
-		return e
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.attrs == nil {
-		s.attrs = make(map[attrsKey]*attrsEntry)
-	}
-	if e := s.attrs[key]; e != nil {
-		return e
-	}
-	e = &attrsEntry{}
-	s.attrs[key] = e
-	return e
-}
-
-func (s *cacheScope) distEntry(key distKey) *distEntry {
-	s.mu.RLock()
-	e := s.dists[key]
-	s.mu.RUnlock()
-	if e != nil {
-		return e
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dists == nil {
-		s.dists = make(map[distKey]*distEntry)
-	}
-	if e := s.dists[key]; e != nil {
-		return e
-	}
-	e = &distEntry{}
-	s.dists[key] = e
-	return e
-}
-
-// lookupDist returns the memoized distance entry for key without
-// creating one.
-func (s *cacheScope) lookupDist(key distKey) *distEntry {
-	s.mu.RLock()
-	e := s.dists[key]
-	s.mu.RUnlock()
-	return e
-}
-
-func (s *cacheScope) finalizeEntry(key string) *finalizeEntry {
-	s.mu.RLock()
-	e := s.finals[key]
-	s.mu.RUnlock()
-	if e != nil {
-		return e
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.finals == nil {
-		s.finals = make(map[string]*finalizeEntry)
-	}
-	if e := s.finals[key]; e != nil {
-		return e
-	}
-	e = &finalizeEntry{}
-	s.finals[key] = e
-	return e
-}
-
-// lookupFinalize returns the memoized final breakdown for key without
-// creating one.
-func (s *cacheScope) lookupFinalize(key string) *finalizeEntry {
-	s.mu.RLock()
-	e := s.finals[key]
-	s.mu.RUnlock()
-	return e
 }

@@ -276,7 +276,7 @@ type engine struct {
 	// group's row list; nil when an attribute is not categorical.
 	cellIdx *dirtyCellIndex
 	// dirtyMemo memoizes dirtyRows per canonical group key for the run.
-	dirtyMemo sync.Map
+	dirtyMemo memoTable[partition.Key, []int32]
 
 	distEvals       atomic.Int64
 	cachedDists     atomic.Int64
@@ -343,7 +343,7 @@ func newEngine(d *dataset.Dataset, scores []float64, cfg Config) (*engine, error
 // the solver's cooperative cancellation point, called at worker-pool
 // granularity — before each subtree recursion, candidate-split
 // evaluation, restart and finalize — and deliberately NEVER from
-// inside a memoized (sync.Once) computation: a check inside the memo
+// inside a memoized (memo.do) computation: a check inside the memo
 // would store the context error as the entry's permanent result,
 // poisoning the shared cache for every later run.
 func (e *engine) ctxErr() error {
@@ -550,27 +550,23 @@ func (e *engine) dirtyRows(g partition.Group) ([]int32, bool) {
 	if len(e.dirty) == 0 {
 		return nil, true
 	}
-	key := g.Key()
-	if v, ok := e.dirtyMemo.Load(key); ok {
-		return v.([]int32), true
-	}
-	var out []int32
-	resolved := false
-	if e.cellIdx != nil {
-		if len(g.Conds) == 0 {
-			// Only the full-population root is condition-free; a bare
-			// group over a row subset must use its row list.
-			if len(g.Rows) == e.d.Len() {
-				out, resolved = e.dirty, true
+	out, _ := e.dirtyMemo.entry(g.Key()).do(func() ([]int32, error) {
+		if e.cellIdx != nil {
+			if len(g.Conds) == 0 {
+				// Only the full-population root is condition-free; a bare
+				// group over a row subset must use its row list.
+				if len(g.Rows) == e.d.Len() {
+					return e.dirty, nil
+				}
+			} else if g.SplitProduced() {
+				if out, ok := e.cellIdx.resolve(g.Conds, e.dirty); ok {
+					return out, nil
+				}
 			}
-		} else if g.SplitProduced() {
-			out, resolved = e.cellIdx.resolve(g.Conds, e.dirty)
 		}
-	}
-	if !resolved {
-		out, _ = e.dirtyIn(g.Rows)
-	}
-	e.dirtyMemo.Store(key, out)
+		out, _ := e.dirtyIn(g.Rows)
+		return out, nil
+	})
 	return out, true
 }
 
@@ -653,24 +649,22 @@ func (e *engine) runParallel(n int, fn func(int) error) error {
 // arithmetic per row — and fans large row sets out over the worker
 // pool.
 func (e *engine) histOf(g partition.Group) (histogram.Hist, error) {
-	ent := e.scope.histEntry(g.Key())
-	ent.once.Do(func() {
-		defer ent.ready.Store(true)
+	return e.scope.hists.entry(g.Key()).do(func() (histogram.Hist, error) {
 		// Try the cross-scope patch first: it needs no bin index, so a
 		// fully-incremental run never builds one.
 		if h, ok := e.reuseHist(g); ok {
-			ent.h = h
-			return
+			return h, nil
 		}
 		bi, err := e.scope.binIndexer(e.measure, e.scores)
+		var h histogram.Hist
 		if err == nil {
-			ent.h, err = e.buildHist(bi, g.Rows)
+			h, err = e.buildHist(bi, g.Rows)
 		}
 		if err != nil {
-			ent.err = fmt.Errorf("core: histogram of %q: %w", g.Label(), err)
+			return histogram.Hist{}, fmt.Errorf("core: histogram of %q: %w", g.Label(), err)
 		}
+		return h, nil
 	})
-	return ent.h, ent.err
 }
 
 // reuseHist answers a group histogram from the predecessor scope:
@@ -684,8 +678,8 @@ func (e *engine) reuseHist(g partition.Group) (histogram.Hist, bool) {
 	if e.prev == nil {
 		return histogram.Hist{}, false
 	}
-	pe := e.prev.lookupHist(g.Key())
-	if pe == nil || !pe.ready.Load() || pe.err != nil {
+	ph, ok := e.prev.hists.done(g.Key())
+	if !ok {
 		return histogram.Hist{}, false
 	}
 	din, ok := e.dirtyRows(g)
@@ -693,11 +687,11 @@ func (e *engine) reuseHist(g partition.Group) (histogram.Hist, bool) {
 		return histogram.Hist{}, false
 	}
 	if len(din) == 0 {
-		return pe.h, true
+		return ph, true
 	}
 	t := float64(len(g.Rows))
-	counts := make([]float64, len(pe.h.Counts))
-	for i, c := range pe.h.Counts {
+	counts := make([]float64, len(ph.Counts))
+	for i, c := range ph.Counts {
 		counts[i] = math.Round(c * t)
 	}
 	for _, r := range din {
@@ -713,7 +707,7 @@ func (e *engine) reuseHist(g partition.Group) (histogram.Hist, bool) {
 	for i := range counts {
 		counts[i] /= t
 	}
-	return histogram.Hist{Lo: pe.h.Lo, Hi: pe.h.Hi, Counts: counts}, true
+	return histogram.Hist{Lo: ph.Lo, Hi: ph.Hi, Counts: counts}, true
 }
 
 // histShardRows is the number of rows one histogram-count shard
@@ -774,30 +768,29 @@ func (e *engine) groupDistance(a, b partition.Group) (float64, error) {
 	}
 	e.distEvals.Add(1)
 	key := distKey{a: ka, b: kb}
-	ent := e.scope.distEntry(key)
 	computed, reused := false, false
-	ent.once.Do(func() {
-		defer ent.ready.Store(true)
+	v, err := e.scope.dists.entry(key).do(func() (float64, error) {
 		computed = true
 		if v, ok := e.reuseDist(key, a, b); ok {
-			ent.v, reused = v, true
-			return
+			reused = true
+			return v, nil
 		}
-		var ha, hb histogram.Hist
-		if ha, ent.err = e.histOf(a); ent.err != nil {
-			return
+		ha, err := e.histOf(a)
+		if err != nil {
+			return 0, err
 		}
-		if hb, ent.err = e.histOf(b); ent.err != nil {
-			return
+		hb, err := e.histOf(b)
+		if err != nil {
+			return 0, err
 		}
-		ent.v, ent.err = e.measure.PairwiseDistance(ha, hb)
+		return e.measure.PairwiseDistance(ha, hb)
 	})
 	if !computed {
 		e.cachedDists.Add(1)
 	} else if reused {
 		e.reusedDists.Add(1)
 	}
-	return ent.v, ent.err
+	return v, err
 }
 
 // reuseDist answers a pairwise distance from the predecessor scope
@@ -808,14 +801,11 @@ func (e *engine) reuseDist(key distKey, a, b partition.Group) (float64, bool) {
 	if e.prev == nil {
 		return 0, false
 	}
-	pe := e.prev.lookupDist(key)
-	if pe == nil || !pe.ready.Load() || pe.err != nil {
+	v, ok := e.prev.dists.done(key)
+	if !ok || !e.groupClean(a) || !e.groupClean(b) {
 		return 0, false
 	}
-	if !e.groupClean(a) || !e.groupClean(b) {
-		return 0, false
-	}
-	return pe.v, true
+	return v, true
 }
 
 // splitChildren returns the (memoized) children of splitting g on
@@ -826,19 +816,18 @@ func (e *engine) reuseDist(key distKey, a, b partition.Group) (float64, bool) {
 // cached children are re-labelled for this caller, sharing their rows
 // and canonical keys.
 func (e *engine) splitChildren(g partition.Group, attr string) ([]partition.Group, error) {
-	ent := e.dscope.childrenEntry(splitKey{group: g.Key(), attr: attr})
-	ent.once.Do(func() {
-		ent.parentConds = g.Conds
-		ent.children, ent.err = partition.Split(e.d, g, attr)
+	sc, err := e.dscope.children.entry(splitKey{group: g.Key(), attr: attr}).do(func() (splitChildren, error) {
+		children, err := partition.Split(e.d, g, attr)
+		return splitChildren{parentConds: g.Conds, children: children}, err
 	})
-	if ent.err != nil {
-		return nil, ent.err
+	if err != nil {
+		return nil, err
 	}
-	if condsEqual(ent.parentConds, g.Conds) {
-		return ent.children, nil
+	if condsEqual(sc.parentConds, g.Conds) {
+		return sc.children, nil
 	}
-	out := make([]partition.Group, len(ent.children))
-	for i, c := range ent.children {
+	out := make([]partition.Group, len(sc.children))
+	for i, c := range sc.children {
 		conds := make([]partition.Cond, len(g.Conds)+1)
 		copy(conds, g.Conds)
 		conds[len(g.Conds)] = c.Conds[len(c.Conds)-1]
@@ -873,23 +862,20 @@ func (e *engine) evalSplit(g partition.Group, attr string) ([]partition.Group, f
 	}
 	e.splitsEvaluated.Add(1)
 	key := splitKey{group: g.Key(), attr: attr}
-	ent := e.scope.splitEntry(key)
-	ent.once.Do(func() {
-		defer ent.ready.Store(true)
+	v, err := e.scope.splits.entry(key).do(func() (float64, error) {
 		// A split's aggregate depends only on the children's
 		// histograms; when every row of the parent kept its bin, the
 		// predecessor's value is bit-identical and the whole
 		// evaluation — counting sorts, histograms, distances — is
 		// skipped for this subtree.
 		if e.prev != nil && e.groupClean(g) {
-			if pe := e.prev.lookupSplit(key); pe != nil && pe.ready.Load() && pe.err == nil {
-				ent.val = pe.val
-				return
+			if v, ok := e.prev.splits.done(key); ok {
+				return v, nil
 			}
 		}
-		ent.val, ent.err = e.aggWithin(children)
+		return e.aggWithin(children)
 	})
-	return children, ent.val, ent.err
+	return children, v, err
 }
 
 // splittableAttrs memoizes partition.SplittableAttrs per dataset: the
@@ -897,15 +883,14 @@ func (e *engine) evalSplit(g partition.Group, attr string) ([]partition.Group, f
 // minimum size — never on scores — so warm re-quantifies skip the
 // O(rows·attrs) scan entirely.
 func (e *engine) splittableAttrs(g partition.Group, attrs []string) ([]string, error) {
-	ent := e.dscope.attrsEntry(attrsKey{
+	key := attrsKey{
 		group:   g.Key(),
 		attrs:   strings.Join(attrs, "\x1f"),
 		minSize: e.cfg.MinGroupSize,
+	}
+	return e.dscope.attrs.entry(key).do(func() ([]string, error) {
+		return partition.SplittableAttrs(e.d, g, attrs, e.cfg.MinGroupSize)
 	})
-	ent.once.Do(func() {
-		ent.val, ent.err = partition.SplittableAttrs(e.d, g, attrs, e.cfg.MinGroupSize)
-	})
-	return ent.val, ent.err
 }
 
 // distsPool recycles the pairwise-distance scratch slices of
@@ -1088,20 +1073,18 @@ func (e *engine) better(candidate, incumbent float64) bool {
 // predecessor scope's breakdown (see computeFinal).
 func (e *engine) finalize(tree *partition.Tree, groups []partition.Group) (*Result, error) {
 	key := leafSetKey(groups)
-	ent := e.scope.finalizeEntry(key)
-	ent.once.Do(func() {
-		defer ent.ready.Store(true)
-		ent.hists, ent.pairs, ent.dists, ent.unfairness, ent.err = e.computeFinal(key, groups)
+	fb, err := e.scope.finals.entry(key).do(func() (finalBreakdown, error) {
+		return e.computeFinal(key, groups)
 	})
-	if ent.err != nil {
-		return nil, ent.err
+	if err != nil {
+		return nil, err
 	}
 	return &Result{
 		Tree:       tree,
 		Groups:     groups,
-		Hists:      ent.hists,
-		Pairwise:   ent.pairs,
-		Unfairness: ent.unfairness,
+		Hists:      fb.hists,
+		Pairwise:   fb.pairs,
+		Unfairness: fb.unfairness,
 		Objective:  e.cfg.Objective,
 		Measure:    e.measure,
 		Stats:      e.statsSnapshot(),
@@ -1128,13 +1111,12 @@ func leafSetKey(groups []partition.Group) string {
 // aggregate is recomputed over the full vector (identical inputs in
 // identical order, so an all-clean leaf set reuses the predecessor's
 // breakdown wholesale).
-func (e *engine) computeFinal(key string, groups []partition.Group) ([]histogram.Hist, []fairness.PairBreakdown, []float64, float64, error) {
-	hists := make([]histogram.Hist, len(groups))
-	var pe *finalizeEntry
+func (e *engine) computeFinal(key string, groups []partition.Group) (finalBreakdown, error) {
+	fb := finalBreakdown{hists: make([]histogram.Hist, len(groups))}
+	var pe finalBreakdown
 	var dirtyLeaf []bool
 	if e.prev != nil && e.diff() {
-		if cand := e.prev.lookupFinalize(key); cand != nil && cand.ready.Load() && cand.err == nil &&
-			len(cand.dists) == len(groups)*(len(groups)-1)/2 {
+		if cand, ok := e.prev.finals.done(key); ok && len(cand.dists) == len(groups)*(len(groups)-1)/2 {
 			pe = cand
 			dirtyLeaf = make([]bool, len(groups))
 		}
@@ -1143,31 +1125,34 @@ func (e *engine) computeFinal(key string, groups []partition.Group) ([]histogram
 	for i, g := range groups {
 		h, err := e.histOf(g)
 		if err != nil {
-			return nil, nil, nil, 0, err
+			return finalBreakdown{}, err
 		}
-		hists[i] = h
-		if pe != nil {
+		fb.hists[i] = h
+		if dirtyLeaf != nil {
 			dirtyLeaf[i] = !e.groupClean(g)
 			anyDirty = anyDirty || dirtyLeaf[i]
 		}
 	}
-	if pe != nil {
+	if dirtyLeaf != nil {
 		if !anyDirty {
-			return hists, pe.pairs, pe.dists, pe.unfairness, nil
+			pe.hists = fb.hists
+			return pe, nil
 		}
-		pairs, dists, unfairness, err := e.measure.BreakdownPatched(hists, pe.dists, dirtyLeaf)
+		var err error
+		fb.pairs, fb.dists, fb.unfairness, err = e.measure.BreakdownPatched(fb.hists, pe.dists, dirtyLeaf)
 		if err == nil {
-			return hists, pairs, dists, unfairness, nil
+			return fb, nil
 		}
 		// Any patch failure falls through to the full breakdown.
 	}
-	pairs, unfairness, err := e.measure.Breakdown(hists)
+	var err error
+	fb.pairs, fb.unfairness, err = e.measure.Breakdown(fb.hists)
 	if err != nil {
-		return nil, nil, nil, 0, err
+		return finalBreakdown{}, err
 	}
-	dists := make([]float64, len(pairs))
-	for i, p := range pairs {
-		dists[i] = p.Distance
+	fb.dists = make([]float64, len(fb.pairs))
+	for i, p := range fb.pairs {
+		fb.dists[i] = p.Distance
 	}
-	return hists, pairs, dists, unfairness, nil
+	return fb, nil
 }

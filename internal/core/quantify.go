@@ -148,13 +148,13 @@ func (e *engine) buildTree(rootGroup partition.Group, rootAttr string, numRows i
 	}
 	// Validation is memoized per dataset: a leaf set with the same
 	// canonical keys holds the same rows, so one pass settles it for
-	// every later run (warm re-quantifies skip the O(rows) scan).
-	vkey := leafSetKey(tree.LeafGroups())
-	if !e.dscope.wasValidated(vkey) {
-		if err := tree.Validate(); err != nil {
-			return nil, fmt.Errorf("core: solver produced invalid tree: %w", err)
-		}
-		e.dscope.markValidated(vkey)
+	// every later run (warm re-quantifies skip the O(rows) scan). A
+	// failure is memoized too: Validate is a pure function of the rows.
+	_, err = e.dscope.validated.entry(leafSetKey(tree.LeafGroups())).do(func() (struct{}, error) {
+		return struct{}{}, tree.Validate()
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: solver produced invalid tree: %w", err)
 	}
 	return tree, nil
 }

@@ -26,21 +26,11 @@ type JobAudit struct {
 	Scores       []float64
 }
 
-// AuditMarketplace quantifies every job of a marketplace under cfg and
-// returns one JobAudit per job, in the marketplace's job order.
+// AuditMarketplace quantifies every job of a marketplace under cfg,
+// one job at a time, and returns one JobAudit per job, in the
+// marketplace's job order — AuditParallel with a single worker.
 func AuditMarketplace(m *marketplace.Marketplace, cfg core.Config) ([]JobAudit, error) {
-	if m == nil || len(m.Jobs) == 0 {
-		return nil, fmt.Errorf("report: marketplace has no jobs to audit")
-	}
-	audits := make([]JobAudit, 0, len(m.Jobs))
-	for _, job := range m.Jobs {
-		audit, err := auditOneJob(m, job, cfg)
-		if err != nil {
-			return nil, err
-		}
-		audits = append(audits, audit)
-	}
-	return audits, nil
+	return AuditParallel(m, cfg, 1)
 }
 
 // AuditRankOnly repeats an audit in the rank-only transparency

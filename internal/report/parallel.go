@@ -9,8 +9,9 @@ import (
 	"repro/internal/marketplace"
 )
 
-// AuditParallel runs AuditMarketplace with the per-job quantifications
-// spread over a bounded pool of goroutines. Audits across a
+// AuditParallel quantifies every job of a marketplace under cfg over a
+// bounded pool of goroutines and returns one JobAudit per job. Audits
+// across a
 // marketplace's jobs are independent (each scores and partitions the
 // same immutable worker dataset), so a real deployment auditing a
 // platform with hundreds of jobs wants them concurrent; this is the
@@ -67,8 +68,8 @@ func AuditParallel(m *marketplace.Marketplace, cfg core.Config, workers int) ([]
 	return out, nil
 }
 
-// auditOneJob quantifies a single job — the unit of work shared by the
-// serial and parallel audits.
+// auditOneJob quantifies a single job — the unit of work of the audit
+// pool.
 func auditOneJob(m *marketplace.Marketplace, job marketplace.Job, cfg core.Config) (JobAudit, error) {
 	scores, err := job.Function.Score(m.Workers)
 	if err != nil {

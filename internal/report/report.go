@@ -1,12 +1,11 @@
 // Package report renders FaiRank results for terminals and files: the
-// partitioning trees, per-partition statistic boxes and score
-// histograms of the paper's Figure 3 interface, plus the multi-job
-// auditor report of the AUDITOR demonstration scenario (§4).
+// partitioning trees (with each partition's size and mean score) and
+// score histograms of the paper's Figure 3 interface, plus the
+// multi-job auditor report of the AUDITOR demonstration scenario (§4).
 package report
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -44,39 +43,17 @@ func RenderHistogram(h histogram.Hist, width int) string {
 	return b.String()
 }
 
-// GroupStats summarizes one partition for display: the content of the
-// paper's "Node box".
-type GroupStats struct {
-	Label string
-	Size  int
-	Score stats.Summary
-}
-
-// StatsFor computes GroupStats of a group under the given scores.
-func StatsFor(g partition.Group, scores []float64) GroupStats {
+// MeanScore returns the mean score of a group's rows — the statistic
+// the tree views print next to each partition. Rows outside scores are
+// skipped.
+func MeanScore(g partition.Group, scores []float64) float64 {
 	vals := make([]float64, 0, len(g.Rows))
 	for _, r := range g.Rows {
 		if r >= 0 && r < len(scores) {
 			vals = append(vals, scores[r])
 		}
 	}
-	return GroupStats{Label: g.Label(), Size: g.Size(), Score: stats.Summarize(vals)}
-}
-
-// NodeBox renders one partition's statistics and histogram — what the
-// FaiRank UI shows when the user clicks a node of the tree.
-func NodeBox(g partition.Group, h histogram.Hist, scores []float64) string {
-	gs := StatsFor(g, scores)
-	var b strings.Builder
-	fmt.Fprintf(&b, "┌ %s\n", gs.Label)
-	fmt.Fprintf(&b, "│ individuals: %d\n", gs.Size)
-	fmt.Fprintf(&b, "│ scores: %s\n", gs.Score)
-	b.WriteString("│ distribution:\n")
-	for _, line := range strings.Split(strings.TrimRight(RenderHistogram(h, 24), "\n"), "\n") {
-		fmt.Fprintf(&b, "│%s\n", line)
-	}
-	b.WriteString("└\n")
-	return b.String()
+	return stats.Mean(vals)
 }
 
 // ResultOptions controls RenderResult.
@@ -114,8 +91,7 @@ func RenderResult(res *core.Result, scores []float64, opts ResultOptions) string
 	} else {
 		b.WriteString("\npartitions (no tree; exhaustive search):\n")
 		for i, g := range res.Groups {
-			gs := StatsFor(g, scores)
-			fmt.Fprintf(&b, "  %s (n=%d, mean=%.3f)\n", gs.Label, gs.Size, gs.Score.Mean)
+			fmt.Fprintf(&b, "  %s (n=%d, mean=%.3f)\n", g.Label(), g.Size(), MeanScore(g, scores))
 			if opts.Histograms {
 				b.WriteString(indent(RenderHistogram(res.Hists[i], opts.BarWidth), "  "))
 			}
@@ -142,9 +118,9 @@ func leafHistIndex(res *core.Result) map[partition.Key]int {
 
 func renderNode(b *strings.Builder, res *core.Result, scores []float64, n *partition.Node, depth int, opts ResultOptions, histIdx map[partition.Key]int) {
 	pad := strings.Repeat("  ", depth)
-	gs := StatsFor(n.Group, scores)
+	g := n.Group
 	if n.IsLeaf() {
-		fmt.Fprintf(b, "%s▣ %s  (n=%d, mean=%.3f)\n", pad, gs.Label, gs.Size, gs.Score.Mean)
+		fmt.Fprintf(b, "%s▣ %s  (n=%d, mean=%.3f)\n", pad, g.Label(), g.Size(), MeanScore(g, scores))
 		if opts.Histograms {
 			if i, ok := histIdx[n.Group.Key()]; ok {
 				b.WriteString(indent(RenderHistogram(res.Hists[i], opts.BarWidth), pad))
@@ -152,7 +128,7 @@ func renderNode(b *strings.Builder, res *core.Result, scores []float64, n *parti
 		}
 		return
 	}
-	fmt.Fprintf(b, "%s▽ %s  (n=%d) — split on %s\n", pad, gs.Label, gs.Size, n.SplitAttr)
+	fmt.Fprintf(b, "%s▽ %s  (n=%d) — split on %s\n", pad, g.Label(), g.Size(), n.SplitAttr)
 	for _, c := range n.Children {
 		renderNode(b, res, scores, c, depth+1, opts, histIdx)
 	}
@@ -223,36 +199,13 @@ func TextTable(headers []string, rows [][]string) string {
 func FavoredGroups(res *core.Result, scores []float64) (most, least string) {
 	bestMean, worstMean := -1.0, 2.0
 	for _, g := range res.Groups {
-		gs := StatsFor(g, scores)
-		if gs.Score.Mean > bestMean {
-			bestMean, most = gs.Score.Mean, gs.Label
+		mean := MeanScore(g, scores)
+		if mean > bestMean {
+			bestMean, most = mean, g.Label()
 		}
-		if gs.Score.Mean < worstMean {
-			worstMean, least = gs.Score.Mean, gs.Label
+		if mean < worstMean {
+			worstMean, least = mean, g.Label()
 		}
 	}
 	return most, least
-}
-
-// SortPairsByDistance returns the result's pairwise breakdowns sorted
-// by decreasing distance — the "who is treated most differently"
-// ordering.
-func SortPairsByDistance(res *core.Result) []string {
-	out := make([]string, 0, len(res.Pairwise))
-	type row struct {
-		label string
-		d     float64
-	}
-	rows := make([]row, 0, len(res.Pairwise))
-	for _, p := range res.Pairwise {
-		rows = append(rows, row{
-			label: fmt.Sprintf("%s ↔ %s: %.4f", res.Groups[p.I].Label(), res.Groups[p.J].Label(), p.Distance),
-			d:     p.Distance,
-		})
-	}
-	sort.SliceStable(rows, func(a, b int) bool { return rows[a].d > rows[b].d })
-	for _, r := range rows {
-		out = append(out, r.label)
-	}
-	return out
 }

@@ -1,7 +1,6 @@
 package report
 
 import (
-	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -62,27 +61,14 @@ func TestRenderHistogramDefaultsWidth(t *testing.T) {
 	}
 }
 
-func TestStatsFor(t *testing.T) {
+func TestMeanScore(t *testing.T) {
 	g := partition.Group{Rows: []int{0, 1}}
-	gs := StatsFor(g, []float64{0.2, 0.4})
-	if gs.Size != 2 || math.Abs(gs.Score.Mean-0.3) > 1e-12 {
-		t.Errorf("StatsFor = %+v", gs)
+	if m := MeanScore(g, []float64{0.2, 0.4}); math.Abs(m-0.3) > 1e-12 {
+		t.Errorf("MeanScore = %g, want 0.3", m)
 	}
 	// Out-of-range rows are skipped rather than panicking.
-	gs = StatsFor(partition.Group{Rows: []int{99}}, []float64{0.5})
-	if gs.Score.N != 0 {
-		t.Errorf("out-of-range rows counted: %+v", gs)
-	}
-}
-
-func TestNodeBox(t *testing.T) {
-	res, scores := table1Result(t)
-	out := NodeBox(res.Groups[0], res.Hists[0], scores)
-	if !strings.Contains(out, "individuals:") || !strings.Contains(out, "distribution:") {
-		t.Errorf("node box missing sections: %q", out)
-	}
-	if !strings.Contains(out, res.Groups[0].Label()) {
-		t.Error("node box missing group label")
+	if m := MeanScore(partition.Group{Rows: []int{99}}, []float64{0.5}); m != 0 {
+		t.Errorf("out-of-range rows counted: mean %g", m)
 	}
 }
 
@@ -145,32 +131,6 @@ func TestFavoredGroups(t *testing.T) {
 	most, least := FavoredGroups(res, scores)
 	if most == "" || least == "" || most == least {
 		t.Errorf("favored groups: %q vs %q", most, least)
-	}
-}
-
-func TestSortPairsByDistance(t *testing.T) {
-	res, _ := table1Result(t)
-	pairs := SortPairsByDistance(res)
-	if len(pairs) != len(res.Pairwise) {
-		t.Fatalf("pair count: %d vs %d", len(pairs), len(res.Pairwise))
-	}
-	// Verify the rendered list is sorted by parsing the trailing
-	// number would be brittle; instead check first >= last via the
-	// underlying breakdown.
-	maxD, minD := -1.0, 2.0
-	for _, p := range res.Pairwise {
-		if p.Distance > maxD {
-			maxD = p.Distance
-		}
-		if p.Distance < minD {
-			minD = p.Distance
-		}
-	}
-	if !strings.Contains(pairs[0], fmt.Sprintf("%.4f", maxD)) {
-		t.Errorf("first pair %q should carry max distance %.4f", pairs[0], maxD)
-	}
-	if !strings.Contains(pairs[len(pairs)-1], fmt.Sprintf("%.4f", minD)) {
-		t.Errorf("last pair %q should carry min distance %.4f", pairs[len(pairs)-1], minD)
 	}
 }
 

@@ -376,12 +376,11 @@ func buildTree(p *core.Panel) *treeNode {
 	}
 	var walk func(n *partition.Node) *treeNode
 	walk = func(n *partition.Node) *treeNode {
-		gs := report.StatsFor(n.Group, p.Scores)
 		out := &treeNode{
 			Label:     n.Group.Label(),
 			Size:      n.Group.Size(),
 			SplitAttr: n.SplitAttr,
-			MeanScore: gs.Score.Mean,
+			MeanScore: report.MeanScore(n.Group, p.Scores),
 		}
 		if h, ok := hists[n.Group.Key()]; ok && n.IsLeaf() {
 			out.Histogram = append([]float64(nil), h.Counts...)

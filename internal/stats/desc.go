@@ -1,10 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -64,63 +60,4 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics. It returns an error for an
-// empty input or q outside [0,1].
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, fmt.Errorf("stats: Quantile of empty slice")
-	}
-	if q < 0 || q > 1 || math.IsNaN(q) {
-		return 0, fmt.Errorf("stats: Quantile q=%g outside [0,1]", q)
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// Summary bundles the descriptive statistics shown in FaiRank's
-// per-partition Node box (Figure 3 of the paper).
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Max    float64
-	Median float64
-}
-
-// Summarize computes a Summary of xs. An empty input yields a zero
-// Summary.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	med, _ := Quantile(xs, 0.5)
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    Min(xs),
-		Max:    Max(xs),
-		Median: med,
-	}
-}
-
-// String renders the summary in a compact single-line form.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.3f sd=%.3f min=%.3f med=%.3f max=%.3f",
-		s.N, s.Mean, s.StdDev, s.Min, s.Median, s.Max)
 }

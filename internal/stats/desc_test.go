@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestMean(t *testing.T) {
@@ -43,88 +42,5 @@ func TestMinMax(t *testing.T) {
 	}
 	if Min(nil) != 0 || Max(nil) != 0 {
 		t.Error("empty Min/Max should be 0")
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{4, 1, 3, 2}
-	for _, c := range []struct{ q, want float64 }{
-		{0, 1}, {1, 4}, {0.5, 2.5}, {0.25, 1.75},
-	} {
-		got, err := Quantile(xs, c.q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("Quantile(%g) = %g, want %g", c.q, got, c.want)
-		}
-	}
-}
-
-func TestQuantileErrors(t *testing.T) {
-	if _, err := Quantile(nil, 0.5); err == nil {
-		t.Error("empty input should error")
-	}
-	if _, err := Quantile([]float64{1}, -0.1); err == nil {
-		t.Error("q<0 should error")
-	}
-	if _, err := Quantile([]float64{1}, 1.1); err == nil {
-		t.Error("q>1 should error")
-	}
-	if _, err := Quantile([]float64{1}, math.NaN()); err == nil {
-		t.Error("NaN q should error")
-	}
-}
-
-func TestQuantileSingleton(t *testing.T) {
-	got, err := Quantile([]float64{42}, 0.99)
-	if err != nil || got != 42 {
-		t.Errorf("singleton quantile: %g, %v", got, err)
-	}
-}
-
-func TestQuantileDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	if _, err := Quantile(xs, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Errorf("Quantile mutated input: %v", xs)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{0, 1, 2, 3, 4})
-	if s.N != 5 || s.Mean != 2 || s.Min != 0 || s.Max != 4 || s.Median != 2 {
-		t.Errorf("bad summary: %+v", s)
-	}
-	if Summarize(nil).N != 0 {
-		t.Error("empty summary should have N=0")
-	}
-	if s.String() == "" {
-		t.Error("Summary.String should be non-empty")
-	}
-}
-
-func TestQuantileMonotoneQuick(t *testing.T) {
-	g := NewRNG(123)
-	f := func(n uint8) bool {
-		m := int(n%50) + 2
-		xs := make([]float64, m)
-		for i := range xs {
-			xs[i] = g.Float64()
-		}
-		prev := math.Inf(-1)
-		for q := 0.0; q <= 1.0; q += 0.1 {
-			v, err := Quantile(xs, q)
-			if err != nil || v < prev-1e-12 {
-				return false
-			}
-			prev = v
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

@@ -12,7 +12,7 @@
 # alpha binary search must stay >= 85% covered. Override per package:
 #
 #   FLOOR_AUDIT=80 FLOOR_MITIGATE=80 FLOOR_AUDITSTORE=80 \
-#   FLOOR_FAULTINJECT=80 sh scripts/coverage.sh
+#   FLOOR_FAULTINJECT=80 FLOOR_CORE=80 sh scripts/coverage.sh
 set -eu
 
 FLOOR_AUDIT=${FLOOR_AUDIT:-88}
@@ -25,6 +25,10 @@ FLOOR_OBSV=${FLOOR_OBSV:-85}
 # all rankings, recorded dense-LP optima, floor and support invariants,
 # determinism) measured 95.9% when the solver was rewritten.
 FLOOR_EXPOSURE=${FLOOR_EXPOSURE:-85}
+# The quantify engine (Algorithm 1, its single-flight memo tables and
+# the incremental re-quantify path) measured 89-90% when its floor was
+# added.
+FLOOR_CORE=${FLOOR_CORE:-85}
 
 fail=0
 
@@ -52,5 +56,6 @@ check ./internal/mitigate/exposure "$FLOOR_EXPOSURE"
 check ./internal/auditstore "$FLOOR_AUDITSTORE"
 check ./internal/faultinject "$FLOOR_FAULTINJECT"
 check ./internal/obsv "$FLOOR_OBSV"
+check ./internal/core "$FLOOR_CORE"
 
 exit "$fail"
